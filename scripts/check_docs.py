@@ -15,11 +15,12 @@ Verifies, for ``README.md`` and every ``docs/*.md``:
    backslash-continued lines) exists as an ``add_argument`` flag in
    ``src/repro/cli.py`` — so the docs cannot drift ahead of or behind
    the CLI;
-4. the query-service route inventory matches both ways: every route
-   string literal in ``src/repro/serve/*.py`` appears in
-   ``docs/serving.md``, and every ``/v1/...``, ``/healthz``,
-   ``/statusz`` or ``/metrics`` route the doc mentions exists in the
-   serving source — so the API reference cannot document a route that
+4. each route inventory matches both ways: every route string literal
+   in ``src/repro/serve/*.py`` appears in ``docs/serving.md`` and every
+   one in ``src/repro/obs/live/*.py`` (the live-ops table) appears in
+   ``docs/operations.md``, and every ``/v1/...``, ``/healthz``,
+   ``/readyz``, ``/statusz`` or ``/metrics`` route either doc mentions
+   exists in its source — so a reference cannot document a route that
    was removed, nor silently omit one that shipped;
 5. the risk-stage taxonomy is documented: every ``STAGE_*`` literal in
    ``src/repro/risk/signals.py`` is named in ``docs/risk.md``, and
@@ -120,43 +121,56 @@ def check_flags(path: Path, known: set[str], root: Path = REPO_ROOT) -> list[str
     return errors
 
 
-_SOURCE_ROUTE_RE = re.compile(r"""["'](/(?:v1/[a-z]+|healthz|statusz|metrics))""")
-_DOC_ROUTE_RE = re.compile(r"/(?:v1/[a-z]+|healthz|statusz|metrics)")
+_ROUTE = r"/(?:v1/[a-z]+|healthz|readyz|statusz|metrics)"
+_SOURCE_ROUTE_RE = re.compile(rf"""["']({_ROUTE})""")
+_DOC_ROUTE_RE = re.compile(_ROUTE)
+
+#: (source directory, reference doc) for every HTTP route table.
+ROUTE_INVENTORIES = (
+    ("src/repro/serve", "docs/serving.md"),
+    ("src/repro/obs/live", "docs/operations.md"),
+)
 
 
-def serve_routes(root: Path = REPO_ROOT) -> set[str]:
-    """Every route prefix named in a ``src/repro/serve/*.py`` string
-    literal (``/v1/address/{addr}`` counts as ``/v1/address``)."""
+def source_routes(source_dir: str, root: Path = REPO_ROOT) -> set[str]:
+    """Every route prefix named in a string literal of a ``*.py`` module
+    in ``source_dir`` (``/v1/address/{addr}`` counts as ``/v1/address``)."""
     routes: set[str] = set()
-    for path in sorted((root / "src" / "repro" / "serve").glob("*.py")):
+    for path in sorted((root / source_dir).glob("*.py")):
         routes.update(_SOURCE_ROUTE_RE.findall(path.read_text()))
     return routes
 
 
-def documented_routes(root: Path = REPO_ROOT) -> set[str]:
-    """Every route prefix ``docs/serving.md`` mentions."""
-    doc = root / "docs" / "serving.md"
-    if not doc.exists():
+def serve_routes(root: Path = REPO_ROOT) -> set[str]:
+    """The query service's route prefixes."""
+    return source_routes("src/repro/serve", root)
+
+
+def documented_routes(doc: str, root: Path = REPO_ROOT) -> set[str]:
+    """Every route prefix the markdown file ``doc`` mentions."""
+    path = root / doc
+    if not path.exists():
         return set()
-    return set(_DOC_ROUTE_RE.findall(doc.read_text()))
+    return set(_DOC_ROUTE_RE.findall(path.read_text()))
 
 
 def check_routes(root: Path = REPO_ROOT) -> list[str]:
-    """The serving API reference and the serving source must agree on
+    """Each route table's source and its reference doc must agree on
     the route inventory, both directions."""
-    in_code = serve_routes(root)
-    in_docs = documented_routes(root)
     errors = []
-    for route in sorted(in_code - in_docs):
-        errors.append(
-            f"docs/serving.md: route {route} exists in src/repro/serve/ "
-            "but is not documented"
-        )
-    for route in sorted(in_docs - in_code):
-        errors.append(
-            f"docs/serving.md: documents route {route} which no "
-            "src/repro/serve/ module serves"
-        )
+    for source_dir, doc in ROUTE_INVENTORIES:
+        in_code = source_routes(source_dir, root)
+        in_docs = documented_routes(doc, root)
+        for route in sorted(in_code - in_docs):
+            errors.append(
+                f"{doc}: route {route} exists in {source_dir}/ "
+                "but is not documented"
+            )
+        for route in sorted(in_docs - in_code):
+            errors.append(
+                f"{doc}: documents route {route} which no "
+                f"{source_dir}/ module serves"
+            )
     return errors
 
 

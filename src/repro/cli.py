@@ -21,11 +21,11 @@ Commands:
   the snowball/clustering state incrementally, and publish versioned
   index deltas with a bounded-staleness freshness contract
   (``docs/streaming.md``).
-* ``serve``         — the ``/v1`` query service over a prebuilt index:
-  asyncio keep-alive transport by default (``--threaded`` for the legacy
-  one, ``--serve-workers N`` for a pre-forked SO_REUSEPORT fleet), with
-  rate limiting, ETags, batch screening, and zero-drop hot reload
-  (``docs/serving.md``; sizing in ``docs/capacity.md``).
+* ``serve``         — the ``/v1`` query service over a prebuilt index on
+  the asyncio keep-alive transport (``--serve-workers N`` for a
+  pre-forked SO_REUSEPORT fleet), with rate limiting, ETags, batch
+  screening, and zero-drop hot reload (``docs/serving.md``; sizing in
+  ``docs/capacity.md``).
 * ``query``         — one-shot lookups against an index file; exits 0
   when clean, 2 when the subject is known DaaS, 1 on error (the same
   0/2/1 convention as ``live-status``).
@@ -780,7 +780,7 @@ def cmd_stream_run(args: argparse.Namespace) -> int:
 
 
 def _serve_telemetry_kwargs(args: argparse.Namespace, worker_id: int = 0) -> dict:
-    """The per-request-telemetry constructor kwargs both transports take."""
+    """The per-request-telemetry constructor kwargs of one serve worker."""
     access_log = getattr(args, "access_log", "")
     status_dir = getattr(args, "status_dir", "")
     return {
@@ -793,11 +793,49 @@ def _serve_telemetry_kwargs(args: argparse.Namespace, worker_id: int = 0) -> dic
     }
 
 
-def cmd_serve(args: argparse.Namespace) -> int:
-    import time as _time
-    from pathlib import Path
+def _serve_banner(index, host: str, port: int, transport: str) -> None:
+    # Flushed: supervisors read the bound port from this line.
+    print(f"serving index {index.version} on http://{host}:{port} [{transport}] "
+          "(/v1/address /v1/domain /v1/screen /v1/families /v1/index "
+          "/healthz /statusz /metrics)", flush=True)
 
-    from repro.serve import AsyncIntelServer, IndexFormatError, IntelServer
+
+def _serve_worker(args: argparse.Namespace, index, sock,
+                  worker_id: int = 0, workers: int = 1) -> None:
+    """Serve on the bound listener ``sock`` in this thread's event loop
+    until SIGINT (raised here as ``KeyboardInterrupt``)."""
+    import asyncio
+
+    from repro.serve import AsyncIntelServer
+
+    obs = _obs(args)
+    server = AsyncIntelServer(
+        index=index,
+        obs=obs,
+        host=args.host,
+        rate_limit=args.rate_limit,
+        burst=args.burst,
+        max_concurrency=args.max_concurrency,
+        max_batch=args.max_batch,
+        max_body_bytes=args.max_body_bytes,
+        read_timeout_s=args.read_timeout,
+        **_serve_telemetry_kwargs(args, worker_id=worker_id),
+    )
+    try:
+        asyncio.run(server.run_async(
+            sock=sock,
+            reload_path=str(args.index) if args.reload_every > 0 else None,
+            reload_every=args.reload_every,
+            workers=workers,
+        ))
+    finally:
+        _write_obs(args, obs)
+
+
+def cmd_serve(args: argparse.Namespace) -> int:
+    import socket
+
+    from repro.serve import IndexFormatError
 
     try:
         index = _load_index(args)
@@ -809,73 +847,17 @@ def cmd_serve(args: argparse.Namespace) -> int:
         print("--serve-workers must be >= 1", file=sys.stderr)
         return 1
     if workers > 1:
-        if args.threaded:
-            print("--serve-workers requires the async server "
-                  "(drop --threaded)", file=sys.stderr)
-            return 1
         return _serve_preforked(args, index, workers)
-
-    obs = _obs(args)
-    reload_every = args.reload_every
-    index_path = Path(args.index)
-    if args.threaded:
-        server = IntelServer(
-            index=index,
-            obs=obs,
-            host=args.host,
-            port=args.port,
-            rate_limit=args.rate_limit,
-            burst=args.burst,
-            max_concurrency=args.max_concurrency,
-            max_batch=args.max_batch,
-            max_body_bytes=args.max_body_bytes,
-            **_serve_telemetry_kwargs(args),
-        )
-        server.start()
-    else:
-        server = AsyncIntelServer(
-            index=index,
-            obs=obs,
-            host=args.host,
-            port=args.port,
-            rate_limit=args.rate_limit,
-            burst=args.burst,
-            max_concurrency=args.max_concurrency,
-            max_batch=args.max_batch,
-            max_body_bytes=args.max_body_bytes,
-            read_timeout_s=args.read_timeout,
-            **_serve_telemetry_kwargs(args),
-        )
-        server.start(
-            reload_path=str(index_path) if reload_every > 0 else None,
-            reload_every=reload_every,
-        )
-    transport = "threaded" if args.threaded else "asyncio"
-    print(f"serving index {index.version} on {server.url} [{transport}] "
-          "(/v1/address /v1/domain /v1/screen /v1/families /v1/index "
-          "/healthz /statusz /metrics)")
     try:
-        # The async transport watches the index file itself; the
-        # threaded one polls here, same cadence as before.
-        last_mtime = index_path.stat().st_mtime if reload_every > 0 else 0.0
-        while True:
-            _time.sleep(reload_every if reload_every > 0 else 1.0)
-            if reload_every <= 0 or not args.threaded:
-                continue
-            try:
-                mtime = index_path.stat().st_mtime
-            except OSError:
-                continue
-            if mtime != last_mtime:
-                last_mtime = mtime
-                version = server.reload(str(index_path))
-                if version is not None:
-                    print(f"hot-reloaded index {version}")
+        sock = socket.create_server((args.host, args.port))
+    except OSError as exc:
+        print(f"cannot bind {args.host}:{args.port}: {exc}", file=sys.stderr)
+        return 1
+    _serve_banner(index, args.host, sock.getsockname()[1], "asyncio")
+    try:
+        _serve_worker(args, index, sock)
     except KeyboardInterrupt:
         print("\nshutting down")
-    finally:
-        server.stop()
-        _write_obs(args, obs)
     return 0
 
 
@@ -889,11 +871,10 @@ def _serve_preforked(args: argparse.Namespace, index, workers: int) -> int:
     (topology notes in ``docs/serving.md``, sizing in
     ``docs/capacity.md``).
     """
-    import asyncio
     import os
     import signal
 
-    from repro.serve import AsyncIntelServer, preforked_sockets
+    from repro.serve import preforked_sockets
 
     if not hasattr(os, "fork"):
         print("--serve-workers needs os.fork (POSIX only)", file=sys.stderr)
@@ -904,10 +885,7 @@ def _serve_preforked(args: argparse.Namespace, index, workers: int) -> int:
         print(f"cannot bind {workers} SO_REUSEPORT listeners: {exc}",
               file=sys.stderr)
         return 1
-    print(f"serving index {index.version} on http://{args.host}:{port} "
-          f"[asyncio x{workers} workers] "
-          "(/v1/address /v1/domain /v1/screen /v1/families /v1/index "
-          "/healthz /statusz /metrics)")
+    _serve_banner(index, args.host, port, f"asyncio x{workers} workers")
     pids: list[int] = []
     for worker_id, sock in enumerate(sockets):
         pid = os.fork()
@@ -927,29 +905,10 @@ def _serve_preforked(args: argparse.Namespace, index, workers: int) -> int:
             value = getattr(child_args, attr, "")
             if value:
                 setattr(child_args, attr, f"{value}.w{worker_id}")
-        obs = _obs(child_args)
-        server = AsyncIntelServer(
-            index=index,
-            obs=obs,
-            host=args.host,
-            rate_limit=args.rate_limit,
-            burst=args.burst,
-            max_concurrency=args.max_concurrency,
-            max_batch=args.max_batch,
-            max_body_bytes=args.max_body_bytes,
-            read_timeout_s=args.read_timeout,
-            **_serve_telemetry_kwargs(child_args, worker_id=worker_id),
-        )
-        reload_path = str(args.index) if args.reload_every > 0 else None
         try:
-            asyncio.run(server.run_async(
-                sock=sock, reload_path=reload_path,
-                reload_every=args.reload_every, workers=workers,
-            ))
+            _serve_worker(child_args, index, sock, worker_id, workers)
         except KeyboardInterrupt:
             pass
-        finally:
-            _write_obs(child_args, obs)
         os._exit(0)
     for sock in sockets:
         sock.close()
@@ -1221,10 +1180,6 @@ def main(argv: list[str] | None = None) -> int:
                    help="watch the --index file and hot-reload it on "
                         "change, without dropping in-flight requests "
                         "(0 = off)")
-    p.add_argument("--threaded", action="store_true",
-                   help="use the legacy thread-per-request transport "
-                        "instead of the asyncio server (migration aid; "
-                        "same endpoints, byte-identical bodies)")
     p.add_argument("--serve-workers", type=int, default=1, metavar="N",
                    help="pre-fork N async worker processes sharing one "
                         "SO_REUSEPORT port (POSIX only; default 1)")

@@ -6,9 +6,10 @@ leaves a wedged CT tail or a stalled snowball round invisible until the
 process dies.  This package layers an *operations* plane on the existing
 :class:`~repro.obs.Observability` handle:
 
-* :class:`~repro.obs.live.server.MetricsServer`   — ``/metrics`` (Prometheus
-  text), ``/healthz``, ``/readyz``, ``/statusz`` on a stdlib HTTP daemon
-  thread;
+* :class:`LiveOps`'s ops server — ``/metrics`` (Prometheus text),
+  ``/healthz``, ``/readyz``, ``/statusz`` served by the query service's
+  :class:`~repro.serve.aserver.AsyncIntelServer` transport with an
+  ops-only route table, on a daemon thread;
 * :class:`~repro.obs.live.snapshot.Snapshotter`   — timestamped registry
   snapshots appended to a JSONL time-series file on a cadence;
 * :class:`~repro.obs.live.watchdog.Watchdog`      — stage heartbeats vs.
@@ -34,7 +35,6 @@ from typing import Any, Callable
 
 from repro.obs.live.alerts import AlertEngine, AlertRule, load_alert_rules, parse_alert_rules
 from repro.obs.live.health import RunStatus
-from repro.obs.live.server import MetricsServer
 from repro.obs.live.snapshot import Snapshotter
 from repro.obs.live.status import (
     LiveStatusError,
@@ -42,13 +42,15 @@ from repro.obs.live.status import (
     render_live_status,
 )
 from repro.obs.live.watchdog import Watchdog
+from repro.obs.metrics import PROMETHEUS_CONTENT_TYPE
+from repro.serve.aserver import AsyncIntelServer
+from repro.serve.handler import ServeResponse, json_response
 
 __all__ = [
     "AlertEngine",
     "AlertRule",
     "LiveOps",
     "LiveStatusError",
-    "MetricsServer",
     "RunStatus",
     "Snapshotter",
     "Watchdog",
@@ -57,6 +59,9 @@ __all__ = [
     "parse_alert_rules",
     "render_live_status",
 ]
+
+#: The live endpoints, in the order a 404 body lists them.
+ENDPOINTS = ("/metrics", "/healthz", "/readyz", "/statusz")
 
 
 class LiveOps:
@@ -89,18 +94,25 @@ class LiveOps:
         self.alert_engine = (
             AlertEngine(alert_rules, obs=obs) if alert_rules else None
         )
-        self.server = (
-            MetricsServer(
-                obs,
-                status=self.status,
-                watchdog=self.watchdog,
-                alert_engine=self.alert_engine,
-                host=host,
-                port=serve_port,
-            )
-            if serve_port is not None
-            else None
-        )
+        self.server: AsyncIntelServer | None = None
+        if serve_port is not None:
+            self._scrapes = {
+                path: obs.metrics.counter(
+                    "daas_live_scrapes_total",
+                    help_text="HTTP requests served by the live endpoint, by path.",
+                    path=path,
+                )
+                for path in ENDPOINTS + ("other",)
+            }
+            # No obs: the transport's own request telemetry stays out of
+            # the run's registry, which is what these endpoints report.
+            self.server = AsyncIntelServer(host=host, port=serve_port, routes={
+                "/metrics": self._metrics,
+                "/healthz": self._healthz,
+                "/readyz": self._readyz,
+                "/statusz": self._statusz,
+                "*": self._not_found,
+            })
         self.snapshotter = (
             Snapshotter(
                 obs,
@@ -164,6 +176,53 @@ class LiveOps:
 
     def heartbeat(self, name: str | None = None) -> None:
         self.watchdog.beat(name)
+
+    # -- the ops route table -------------------------------------------------
+
+    def status_doc(self) -> dict[str, Any]:
+        """The ``/statusz`` document; alert rules are re-evaluated, so it
+        is current even without a snapshotter."""
+        # Before the status snapshot, so a stall this probe detects is
+        # reflected in the document it returns.
+        self.watchdog.check()
+        doc: dict[str, Any] = {
+            "status": self.status.snapshot(),
+            "watchdog": self.watchdog.snapshot(),
+        }
+        if self.alert_engine is not None:
+            self.alert_engine.evaluate(self.obs.metrics)
+            doc["alerts"] = self.alert_engine.snapshot()
+            doc["firing"] = self.alert_engine.firing()
+        return doc
+
+    def _metrics(self, method: str, path: str) -> ServeResponse:
+        self._scrapes[path].inc()
+        return ServeResponse(200, self.obs.metrics.to_prometheus().encode("utf-8"),
+                             PROMETHEUS_CONTENT_TYPE)
+
+    def _healthz(self, method: str, path: str) -> ServeResponse:
+        # Health is computed at probe time: no polling thread to wedge.
+        self._scrapes[path].inc()
+        self.watchdog.check()
+        state = self.status.state
+        return json_response(
+            200 if state == "ok" else 503,
+            {"status": state, "reasons": self.status.degraded_reasons()},
+        )
+
+    def _readyz(self, method: str, path: str) -> ServeResponse:
+        self._scrapes[path].inc()
+        ready = self.status.ready
+        return json_response(200 if ready else 503, {"ready": ready})
+
+    def _statusz(self, method: str, path: str) -> ServeResponse:
+        self._scrapes[path].inc()
+        return json_response(200, self.status_doc())
+
+    def _not_found(self, method: str, path: str) -> ServeResponse:
+        self._scrapes["other"].inc()
+        return json_response(404, {"error": f"no such endpoint: {path}",
+                                   "endpoints": list(ENDPOINTS)})
 
     def tick(self, now: float | None = None) -> dict[str, Any] | None:
         """Manual snapshot tick (no-op without a snapshotter)."""

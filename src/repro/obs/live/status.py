@@ -3,8 +3,8 @@
 The subcommand accepts one *source* argument:
 
 * an ``http(s)://`` URL — the ``/statusz`` document of a running
-  :class:`~repro.obs.live.server.MetricsServer` is fetched (the path is
-  added automatically when missing);
+  :class:`~repro.obs.live.LiveOps` server is fetched (the path is added
+  automatically when missing);
 * a snapshot file written with ``--snapshot-out`` — the *last complete*
   record is used, so tailing a file that a live run is still appending
   to works.

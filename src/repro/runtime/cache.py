@@ -14,8 +14,10 @@ Three layers:
   backfill, where an address's history grows after it was first read.
 
 Caches return the *stored* object on a hit, so memoization-identity
-checks (``first is second``) hold, and a compute raced by two worker
-threads converges on one canonical object.
+checks (``first is second``) hold.  Misses are single-flight: while one
+thread computes a key, other threads asking for it wait for that result
+instead of issuing a duplicate upstream read (and a duplicate retry
+loop over the same fault-injection key).
 """
 
 from __future__ import annotations
@@ -66,30 +68,50 @@ class ReadThroughCache:
         self.max_size = max_size
         self._lock = threading.RLock()
         self._entries: OrderedDict[Hashable, Any] = OrderedDict()
+        #: Keys being computed right now; ``_computed`` is notified as
+        #: each of those computes finishes, when anyone is waiting.
+        self._pending: set[Hashable] = set()
+        self._computed = threading.Condition(self._lock)
+        self._waiting = 0
 
     def get_or_compute(self, key: Hashable, compute: Callable[[], Any]) -> Any:
         with self._lock:
-            value = self._entries.get(key, _MISSING)
+            # While another thread computes this key, wait for it, then
+            # re-read (a failed compute leaves no entry: a waiter retries).
+            while (value := self._entries.get(key, _MISSING)) is _MISSING \
+                    and key in self._pending:
+                self._waiting += 1
+                self._computed.wait()
+                self._waiting -= 1
             if value is not _MISSING:
                 self.stats.hits += 1
                 if self.max_size is not None:
                     self._entries.move_to_end(key)
                 return value
             self.stats.misses += 1
+            self._pending.add(key)
         # Compute outside the lock: computes may themselves read through
         # other caches, and parallel workers must not serialize on it.
-        value = compute()
+        try:
+            value = compute()
+        except BaseException:
+            with self._lock:
+                self._finish(key)
+            raise
         with self._lock:
-            stored = self._entries.get(key, _MISSING)
-            if stored is not _MISSING:
-                # Another worker raced us; keep its object canonical.
-                return stored
+            self._finish(key)
             self._entries[key] = value
             if self.max_size is not None:
                 while len(self._entries) > self.max_size:
                     self._entries.popitem(last=False)
                     self.stats.evictions += 1
         return value
+
+    def _finish(self, key: Hashable) -> None:
+        """End ``key``'s compute (caller holds the lock); wake waiters."""
+        self._pending.discard(key)
+        if self._waiting:
+            self._computed.notify_all()
 
     def invalidate(self, key: Hashable) -> bool:
         """Drop one entry; returns whether it was present."""

@@ -11,23 +11,20 @@ them into something a wallet or a screening feed can *ask*:
   (:mod:`repro.risk`, ``docs/risk.md``), and hot index swap;
 * :mod:`repro.serve.ratelimit` — per-client token buckets;
 * :mod:`repro.serve.handler`   — :class:`IntelHandlerCore`, the
-  transport-agnostic request core (routing, admission bookkeeping,
-  pre-serialized :class:`ServeResponse` cache) both HTTP transports
-  share;
-* :mod:`repro.serve.aserver`   — :class:`AsyncIntelServer`, the asyncio
-  production transport: persistent keep-alive connections, batch-first
-  endpoints, chunked verdict streams, optional pre-forked multi-worker
-  mode via :func:`preforked_sockets`;
-* :mod:`repro.serve.server`    — :class:`IntelServer`, the threaded
-  ``/v1/*`` transport kept for embedding and as migration baseline;
+  transport-agnostic request core (route table, admission bookkeeping,
+  pre-serialized :class:`ServeResponse` cache);
+* :mod:`repro.serve.aserver`   — :class:`AsyncIntelServer`, the one HTTP
+  transport: persistent keep-alive connections, batch-first endpoints,
+  chunked verdict streams, optional pre-forked multi-worker mode via
+  :func:`preforked_sockets`;
 * :mod:`repro.serve.fleet`     — :class:`ServeAggregator`, the fleet
   metrics plane for pre-forked workers: atomic per-worker registry
   snapshots merged into one ``/statusz`` / ``/metrics`` view and the
   ``daas-repro index serve-status`` table (errors raise
   :class:`ServeStatusError`).
 
-Both transports serve the same endpoint matrix — ETags, rate limiting,
-bounded concurrency, zero-drop hot reload — with byte-identical bodies.
+The service answers with ETags, rate limiting, bounded concurrency and
+zero-drop hot reload.
 
 CLI entry points: ``daas-repro index build``, ``daas-repro serve``,
 ``daas-repro query`` — see ``docs/serving.md`` and ``docs/capacity.md``.
@@ -54,7 +51,6 @@ from repro.serve.query import (
     ScreenVerdict,
 )
 from repro.serve.ratelimit import ClientRateLimiter, TokenBucket
-from repro.serve.server import IntelServer
 
 __all__ = [
     "AddressIntel",
@@ -65,7 +61,6 @@ __all__ = [
     "IndexFormatError",
     "IntelHandlerCore",
     "IntelIndex",
-    "IntelServer",
     "PreforkedListeners",
     "QueryEngine",
     "SCREEN_SCHEMA_VERSION",

@@ -1,17 +1,14 @@
 """Asyncio transport for the ``/v1`` intelligence query service.
 
-The :class:`AsyncIntelServer` is the production front end: one
+The :class:`AsyncIntelServer` is the repository's one HTTP server: one
 ``asyncio.start_server`` event loop multiplexing thousands of
-persistent keep-alive connections over the same
-:class:`~repro.serve.handler.IntelHandlerCore` the threaded
-:class:`~repro.serve.server.IntelServer` uses — so the two transports
-return byte-identical bodies for the whole endpoint matrix.  What the
-threaded server pays per request (thread spawn, socket teardown, full
-HTTP/1.0-style close), this one pays once per *connection*: a client
-pool opens N sockets and streams batch screenings down them back to
-back, which is what closes the 450× gap between raw index throughput
-and served throughput (ROADMAP item 2; measured in
-``benchmarks/out/perf_serve.json``).
+persistent keep-alive connections over one
+:class:`~repro.serve.handler.IntelHandlerCore`.  It pays its setup once
+per *connection*, not per request: a client pool opens N sockets and
+streams batch screenings down them back to back (measured in
+``benchmarks/out/perf_serve.json``).  The pipeline's live-ops endpoints
+(:class:`repro.obs.live.LiveOps`) run on it too, with their own route
+table.
 
 Protocol handling is a deliberately minimal HTTP/1.1 pipeline:
 
@@ -26,10 +23,10 @@ Protocol handling is a deliberately minimal HTTP/1.1 pipeline:
   screening verdicts) so connections stay reusable; ``Connection:
   close`` is honored both ways.
 
-Admission control matches the threaded server exactly: request counter,
-per-client token bucket (``429`` + ``Retry-After``), then a bounded
-concurrency gate (``503`` after ``busy_timeout_s``).  Hot reload is the
-same zero-drop :meth:`~repro.serve.handler.IntelHandlerCore.reload`.
+Admission control: request counter, per-client token bucket (``429`` +
+``Retry-After``), then a bounded concurrency gate (``503`` after
+``busy_timeout_s``).  Hot reload is the zero-drop
+:meth:`~repro.serve.handler.IntelHandlerCore.reload`.
 
 For multi-core boxes, :func:`preforked_sockets` binds N ``SO_REUSEPORT``
 listeners on one port so ``--serve-workers N`` can fork N processes,
@@ -50,7 +47,7 @@ from http.client import responses as _REASONS
 
 from repro.obs import Observability, RequestContext
 from repro.obs.request import REQUEST_ID_HEADER
-from repro.serve.handler import IntelHandlerCore, ServeResponse
+from repro.serve.handler import IntelHandlerCore, Route, ServeResponse
 from repro.serve.index import IntelIndex
 from repro.serve.query import QueryEngine
 
@@ -140,6 +137,7 @@ class AsyncIntelServer:
         worker_id: int = 0,
         status_dir: str | None = None,
         status_every_s: float = 5.0,
+        routes: dict[str, Route] | None = None,
     ) -> None:
         self.core = IntelHandlerCore(
             index=index,
@@ -157,6 +155,7 @@ class AsyncIntelServer:
             slow_request_ms=slow_request_ms,
             worker_id=worker_id,
             status_dir=status_dir,
+            routes=routes,
         )
         self.host = host
         self.requested_port = port

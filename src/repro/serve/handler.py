@@ -1,22 +1,22 @@
 """Transport-agnostic core of the ``/v1`` query service.
 
-Both HTTP front ends — the legacy threaded :class:`~repro.serve.server.
-IntelServer` and the asyncio :class:`~repro.serve.aserver.
-AsyncIntelServer` — are thin transports over one
-:class:`IntelHandlerCore`.  The core owns everything that is *not* a
-socket: routing, request validation, JSON serialization, the per-client
-rate limiter, the ``daas_serve_*`` instruments, index lifecycle
-(load / hot reload under a time budget), and a pre-serialized response
-cache so hot lookups and repeated screening batches are answered from
-cached bytes without touching ``json.dumps`` again.
+The asyncio :class:`~repro.serve.aserver.AsyncIntelServer` moves bytes;
+one :class:`IntelHandlerCore` owns everything that is *not* a socket:
+routing, request validation, JSON serialization, the per-client rate
+limiter, the ``daas_serve_*`` instruments, index lifecycle (load / hot
+reload under a time budget), and a pre-serialized response cache so hot
+lookups and repeated screening batches are answered from cached bytes
+without touching ``json.dumps`` again.
 
-The contract that makes the two servers interchangeable: for any
-``(method, target, body, if_none_match)``, :meth:`IntelHandlerCore.
-handle` returns one :class:`ServeResponse` whose **body bytes are
-identical** regardless of transport.  ``tests/serve/test_aserver.py``
-drives the full endpoint matrix through both servers and compares
-bodies byte-for-byte; ``benchmarks/bench_serve.py`` re-asserts it under
-load.
+:meth:`IntelHandlerCore.handle` is pure: for any ``(method, target,
+body, if_none_match)`` it returns one :class:`ServeResponse`, so an
+in-process core is the oracle the wire responses are checked against
+(``tests/serve/test_aserver.py``, ``benchmarks/bench_serve.py``).
+
+Endpoints outside ``/v1`` come from a path → handler route table.  The
+default table is the query service's ``/healthz``, ``/statusz`` and
+``/metrics``; :class:`repro.obs.live.LiveOps` passes its own ops-only
+table to serve a pipeline run's live endpoints over the same transport.
 """
 
 from __future__ import annotations
@@ -26,11 +26,11 @@ import os
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
 from urllib.parse import parse_qs, unquote
 
 from repro.obs import AccessLog, Observability, RequestContext, RequestTelemetry
-from repro.obs.live.server import PROMETHEUS_CONTENT_TYPE
+from repro.obs.metrics import PROMETHEUS_CONTENT_TYPE
 from repro.runtime.cache import ReadThroughCache
 from repro.serve.fleet import (
     ServeAggregator,
@@ -42,7 +42,7 @@ from repro.serve.index import IndexFormatError, IntelIndex
 from repro.serve.query import SCREEN_SCHEMA_VERSION, QueryEngine
 from repro.serve.ratelimit import ClientRateLimiter
 
-__all__ = ["IntelHandlerCore", "ServeResponse"]
+__all__ = ["IntelHandlerCore", "Route", "ServeResponse", "json_response"]
 
 #: Endpoint label values (route templates, so cardinality stays fixed).
 _ENDPOINTS = (
@@ -91,6 +91,27 @@ class ServeResponse:
     close: bool = False
 
 
+#: One route-table entry: ``handler(method, path)`` -> the response.
+Route = Callable[[str, str], ServeResponse]
+
+
+def json_response(
+    status: int,
+    doc: dict[str, Any],
+    headers: tuple[tuple[str, str], ...] = (),
+    close: bool = False,
+) -> ServeResponse:
+    """``doc`` as every JSON endpoint renders it: two-space indent, one
+    trailing newline, UTF-8."""
+    return ServeResponse(
+        status,
+        (json.dumps(doc, indent=2) + "\n").encode("utf-8"),
+        "application/json",
+        headers=headers,
+        close=close,
+    )
+
+
 @dataclass
 class _CoreMetrics:
     """The ``daas_serve_*`` instrument handles, resolved once."""
@@ -128,8 +149,17 @@ class IntelHandlerCore:
         slow_request_ms: float = 500.0,
         worker_id: int = 0,
         status_dir: str | None = None,
+        routes: dict[str, Route] | None = None,
     ) -> None:
         self.obs = obs if obs is not None else Observability.disabled()
+        #: path -> handler for every endpoint outside ``/v1``.  A ``"*"``
+        #: entry answers all other paths, so a table that has one (the
+        #: live-ops server's) never reaches the query API.
+        self.routes: dict[str, Route] = routes if routes is not None else {
+            "/healthz": self._healthz,
+            "/statusz": self._statusz,
+            "/metrics": self._fleet_metrics,
+        }
         self.max_concurrency = max_concurrency
         self.max_batch = max_batch
         self.cache_size = cache_size
@@ -150,7 +180,7 @@ class IntelHandlerCore:
             else None
         )
         #: Per-request ids + latency/size histograms + the access log;
-        #: both transports drive it via begin_request()/finish_request().
+        #: the transport drives it via begin_request()/finish_request().
         self.telemetry = RequestTelemetry(
             self.obs,
             access_log=access_log,
@@ -417,14 +447,11 @@ class IntelHandlerCore:
         """Route one admitted request to its response (pure, no I/O)."""
         raw_path, _, query = target.partition("?")
         path = raw_path.rstrip("/") or "/"
-        if path == "/healthz":
-            return self._healthz()
-        # The fleet views answer even with no index loaded — an operator
+        # Routed endpoints answer even with no index loaded — an operator
         # diagnosing a worker that failed to load needs them most then.
-        if path == "/statusz":
-            return self._statusz(method)
-        if path == "/metrics":
-            return self._fleet_metrics(method)
+        route = self.routes.get(path) or self.routes.get("*")
+        if route is not None:
+            return route(method, path)
         # Everything under /v1 needs a loaded index; resolve the engine
         # exactly once so a concurrent hot-reload cannot split a request
         # across index versions.
@@ -523,7 +550,7 @@ class IntelHandlerCore:
         )
         return SnapshotScan(snapshots=[own] + scan.snapshots, skipped=scan.skipped)
 
-    def _statusz(self, method: str) -> ServeResponse:
+    def _statusz(self, method: str, path: str) -> ServeResponse:
         if method != "GET":
             return self._json(405, {"error": "use GET for /statusz"})
         scan = self.fleet_snapshots()
@@ -531,7 +558,7 @@ class IntelHandlerCore:
         doc.pop("metrics", None)  # the raw registry is what /metrics is for
         return self._json(200, doc)
 
-    def _fleet_metrics(self, method: str) -> ServeResponse:
+    def _fleet_metrics(self, method: str, path: str) -> ServeResponse:
         if method != "GET":
             return self._json(405, {"error": "use GET for /metrics"})
         scan = self.fleet_snapshots()
@@ -544,7 +571,7 @@ class IntelHandlerCore:
 
     # -- endpoint bodies -----------------------------------------------------
 
-    def _healthz(self) -> ServeResponse:
+    def _healthz(self, method: str, path: str) -> ServeResponse:
         engine = self._engine
         if engine is None:
             return self._json(503, {"status": "no-index"})
@@ -691,10 +718,4 @@ class IntelHandlerCore:
         close: bool = False,
     ) -> ServeResponse:
         headers = cls._version_headers(version) if version is not None else ()
-        return ServeResponse(
-            status,
-            (json.dumps(doc, indent=2) + "\n").encode("utf-8"),
-            "application/json",
-            headers=headers + extra_headers,
-            close=close,
-        )
+        return json_response(status, doc, headers + extra_headers, close)

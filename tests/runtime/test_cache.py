@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+import time
+
 import pytest
 
 from repro.chain.chain import Blockchain
@@ -89,6 +93,86 @@ class TestReadThroughCache:
     def test_invalid_max_size_rejected(self):
         with pytest.raises(ValueError):
             ReadThroughCache("t", max_size=0)
+
+    def test_concurrent_misses_compute_once(self):
+        """Single flight: threads asking for a key that is being computed
+        wait for that result instead of computing it again."""
+        cache = ReadThroughCache("single-flight")
+        started, release = threading.Event(), threading.Event()
+        calls, results = [], []
+
+        def compute():
+            calls.append(1)
+            started.set()
+            release.wait(5.0)
+            return object()
+
+        def read():
+            results.append(cache.get_or_compute("k", compute))
+
+        threads = [threading.Thread(target=read) for _ in range(5)]
+        threads[0].start()
+        assert started.wait(5.0)
+        for thread in threads[1:]:
+            thread.start()
+        time.sleep(0.05)  # the other readers are now waiting on the first
+        release.set()
+        for thread in threads:
+            thread.join(5.0)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(calls) == 1
+        assert all(result is results[0] for result in results)
+        assert (cache.stats.misses, cache.stats.hits) == (1, 4)
+
+    def test_single_flight_under_thread_stress(self):
+        """8 threads (more than cores) on 16 shared keys with a short
+        switch interval: every key is computed exactly once and every
+        reader of a key gets the same object."""
+        cache = ReadThroughCache("stress")
+        computed: dict[str, int] = {}
+        lock = threading.Lock()
+        seen: dict[str, set[int]] = {f"k{i}": set() for i in range(16)}
+
+        def compute(key):
+            with lock:
+                computed[key] = computed.get(key, 0) + 1
+            time.sleep(0.001)
+            return object()
+
+        def worker(offset):
+            for n in range(200):
+                key = f"k{(n + offset) % 16}"
+                value = cache.get_or_compute(key, lambda: compute(key))
+                with lock:
+                    seen[key].add(id(value))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,))
+                       for i in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert computed == {key: 1 for key in seen}
+        assert all(len(ids) == 1 for ids in seen.values())
+        assert cache.stats.misses == 16
+        assert cache.stats.hits == 8 * 200 - 16
+
+    def test_failed_compute_leaves_key_computable(self):
+        cache = ReadThroughCache("retry")
+
+        def boom():
+            raise RuntimeError("upstream down")
+
+        with pytest.raises(RuntimeError):
+            cache.get_or_compute("k", boom)
+        assert cache.get_or_compute("k", lambda: 7) == 7
+        assert "k" in cache
 
 
 class TestNullCache:

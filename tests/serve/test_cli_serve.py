@@ -108,3 +108,9 @@ class TestServe:
     def test_serve_without_index_exits_1(self, capsys, tmp_path):
         assert main(["serve", "--index", str(tmp_path / "absent.json")]) == 1
         assert "no such index file" in capsys.readouterr().err
+
+    def test_threaded_flag_is_gone(self, capsys, index_file):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", "--index", str(index_file), "--threaded"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --threaded" in capsys.readouterr().err

@@ -1,4 +1,4 @@
-"""X-Request-Id conformance: every response carries one, on both transports.
+"""X-Request-Id conformance: every response carries one.
 
 The acceptance bar from the request-telemetry work: *no* response leaves
 the serve plane without an ``X-Request-Id`` — success, conditional,
@@ -17,16 +17,15 @@ import socket
 import pytest
 
 from repro.obs import REQUEST_ID_HEADER, Observability, sanitize_request_id
-from repro.serve import AsyncIntelServer, IntelServer
+from repro.serve import AsyncIntelServer
 
 from tests.serve.test_aserver import FakeClock, RawClient
 
 _HEADER = REQUEST_ID_HEADER.lower()
 
-TRANSPORTS = [
-    pytest.param(AsyncIntelServer, id="async"),
-    pytest.param(IntelServer, id="threaded"),
-]
+#: One transport; still a parameter so the test ids keep their
+#: ``[async]`` suffix.
+TRANSPORTS = [pytest.param(AsyncIntelServer, id="async")]
 
 
 def _matrix(pipeline, intel_index):
@@ -141,10 +140,8 @@ class TestEveryResponseCarriesAnId:
 
 
 class TestAsyncFramingRejections:
-    """Protocol-level 400s never reach the handler core, but the async
-    transport still stamps them (the threaded transport delegates its
-    request-line parsing to ``http.server``, so only body-level framing
-    is covered there — see the 413/400 cases above)."""
+    """Protocol-level 400s and 413s never reach the handler core, but
+    the transport still stamps them."""
 
     def test_bad_request_line_400_has_id(self, intel_index):
         server = AsyncIntelServer(index=intel_index).start()

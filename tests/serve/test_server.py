@@ -1,16 +1,22 @@
-"""The /v1 HTTP service: endpoints, admission control, hot reload.
+"""The /v1 HTTP service, endpoint by endpoint, through a stdlib client.
 
-Covers the ISSUE acceptance paths: every operator/affiliate/contract in
-the fixture dataset answers with the correct role and family, the error
-surface (404 unknown entity, 405 wrong method, 400 bad batch, 429 rate
-limit, 503 no-index/saturated) behaves, conditional requests hit 304,
-and a hot reload under concurrent load drops zero in-flight requests.
+Every operator/affiliate/contract in the fixture dataset answers with
+the correct role and family, the domain/families/index endpoints answer,
+the error surface (404 unknown entity or route, 405 wrong method, 400
+bad screen body or batch) behaves, conditional requests hit 304,
+admission control answers 429/503 and recovers, a hot reload under
+concurrent load drops zero in-flight requests, and requests are counted
+in ``daas_serve_requests_total``.  Unlike ``test_aserver.py``, which
+speaks raw keep-alive sockets, every request here is a fresh urllib
+connection.
 """
 
 from __future__ import annotations
 
+import asyncio
 import json
 import threading
+import time
 import urllib.error
 import urllib.request
 from urllib.parse import quote
@@ -18,7 +24,7 @@ from urllib.parse import quote
 import pytest
 
 from repro.obs import Observability
-from repro.serve import IntelServer, build_index
+from repro.serve import AsyncIntelServer, build_index
 
 
 class FakeClock:
@@ -55,7 +61,8 @@ def post(url: str, doc, headers: dict | None = None):
 
 @pytest.fixture()
 def server(intel_index):
-    srv = IntelServer(index=intel_index, obs=Observability(run_id="servetest"))
+    srv = AsyncIntelServer(index=intel_index,
+                           obs=Observability(run_id="servetest"))
     srv.start()
     yield srv
     srv.stop()
@@ -156,7 +163,7 @@ class TestOtherEndpoints:
         assert code == 400
 
     def test_screen_batch_cap(self, intel_index):
-        server = IntelServer(index=intel_index, max_batch=2).start()
+        server = AsyncIntelServer(index=intel_index, max_batch=2).start()
         try:
             code, body, _ = post(f"{server.url}/v1/screen",
                                  {"addresses": ["0x1", "0x2", "0x3"]})
@@ -177,7 +184,7 @@ class TestOtherEndpoints:
 class TestAdmissionControl:
     def test_rate_limit_429_and_recovery(self, intel_index):
         clock = FakeClock()
-        server = IntelServer(
+        server = AsyncIntelServer(
             index=intel_index, rate_limit=1.0, burst=2.0, clock=clock,
         ).start()
         try:
@@ -197,23 +204,26 @@ class TestAdmissionControl:
             server.stop()
 
     def test_concurrency_gate_503(self, intel_index):
-        server = IntelServer(
+        server = AsyncIntelServer(
             index=intel_index, max_concurrency=1, busy_timeout_s=0.01,
         ).start()
         try:
-            assert server._gate.acquire(timeout=1.0)  # saturate the gate
+            acquired = asyncio.run_coroutine_threadsafe(
+                server._gate.acquire(), server.loop)  # saturate the gate
+            assert acquired.result(timeout=2.0) is True
             try:
                 code, body, _ = get(f"{server.url}/v1/index")
                 assert code == 503
                 assert "saturated" in json.loads(body)["error"]
             finally:
-                server._gate.release()
+                server.loop.call_soon_threadsafe(server._gate.release)
+            time.sleep(0.05)
             assert get(f"{server.url}/v1/index")[0] == 200
         finally:
             server.stop()
 
     def test_no_index_503_until_loaded(self, intel_index):
-        server = IntelServer(obs=Observability(run_id="noindex")).start()
+        server = AsyncIntelServer(obs=Observability(run_id="noindex")).start()
         try:
             code, body, _ = get(f"{server.url}/healthz")
             assert code == 503 and json.loads(body)["status"] == "no-index"
@@ -231,11 +241,12 @@ class TestAdmissionControl:
 
 class TestHotReload:
     def test_hot_reload_drops_no_inflight_requests(self, pipeline, intel_index):
-        """Swap index versions repeatedly while clients hammer lookups:
-        every response must succeed against one coherent version."""
+        """Swap index versions repeatedly while clients hammer lookups,
+        one connection per request: every response must succeed against
+        one coherent version."""
         other = build_index(pipeline.dataset)  # different version (no families)
         assert other.version != intel_index.version
-        server = IntelServer(index=intel_index).start()
+        server = AsyncIntelServer(index=intel_index).start()
         addresses = sorted(pipeline.dataset.contracts)[:8]
         versions = {intel_index.version, other.version}
         failures: list = []
@@ -270,8 +281,8 @@ class TestHotReload:
     def test_reload_from_file_and_bad_file_keeps_serving(
         self, pipeline, intel_index, tmp_path
     ):
-        server = IntelServer(index=intel_index,
-                             obs=Observability(run_id="reload")).start()
+        server = AsyncIntelServer(index=intel_index,
+                                  obs=Observability(run_id="reload")).start()
         try:
             other = build_index(pipeline.dataset)
             path = tmp_path / "next.json"
@@ -291,7 +302,7 @@ class TestHotReload:
 class TestObservability:
     def test_requests_and_latency_are_counted(self, intel_index):
         obs = Observability(run_id="metrics")
-        server = IntelServer(index=intel_index, obs=obs).start()
+        server = AsyncIntelServer(index=intel_index, obs=obs).start()
         try:
             get(f"{server.url}/healthz")
             get(f"{server.url}/v1/index")

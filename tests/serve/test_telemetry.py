@@ -2,10 +2,10 @@
 
 The cardinal invariant of ``repro.obs`` extended to the serve plane:
 request telemetry (ids, latency/size histograms, the access log) must
-never perturb a response *body*.  Both transports replay the full
-endpoint matrix with telemetry fully on (access log sampling every
-request, aggressive slow threshold) and fully off (disabled registry,
-no access log) and compare bodies byte-for-byte.
+never perturb a response *body*.  The server replays the full endpoint
+matrix with telemetry fully on (access log sampling every request,
+aggressive slow threshold) and fully off (disabled registry, no access
+log) and the bodies are compared byte-for-byte.
 
 The access log's capture rules are pinned here too: ``sample=N`` writes
 every Nth request, ``sample=0`` writes none — except slow or errored
@@ -19,14 +19,13 @@ import json
 import pytest
 
 from repro.obs import AccessLog, Observability, RequestTelemetry
-from repro.serve import AsyncIntelServer, IntelServer
+from repro.serve import AsyncIntelServer
 
 from tests.serve.test_aserver import RawClient
 
-TRANSPORTS = [
-    pytest.param(AsyncIntelServer, id="async"),
-    pytest.param(IntelServer, id="threaded"),
-]
+#: One transport; still a parameter so the test ids keep their
+#: ``[async]`` suffix.
+TRANSPORTS = [pytest.param(AsyncIntelServer, id="async")]
 
 
 def _matrix(pipeline, intel_index):
@@ -200,7 +199,7 @@ class TestAccessLog:
 
     def test_record_fields(self, intel_index, tmp_path):
         path = tmp_path / "access.jsonl"
-        server = IntelServer(
+        server = AsyncIntelServer(
             index=intel_index, obs=Observability(run_id="fields"),
             access_log_path=str(path), access_log_sample=1,
         ).start()

@@ -62,3 +62,22 @@ def test_checker_catches_tuple_return(tmp_path):
     assert "'Thing.bad_method'" in flagged
     assert "'fine'" not in flagged
     assert "_private" not in flagged
+
+
+def test_http_server_stays_out():
+    """One HTTP transport: the stdlib ``http.server`` is never loaded by
+    the CLI, the serving layer, or the live-ops layer."""
+    import os
+    import subprocess
+    import sys
+
+    src = str(Path(__file__).parent.parent / "src")
+    code = (
+        "import sys, repro.cli, repro.serve, repro.obs.live\n"
+        "assert 'http.server' not in sys.modules, 'http.server imported'\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep
+               + os.environ.get("PYTHONPATH", ""))
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr

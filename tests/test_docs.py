@@ -1,5 +1,6 @@
 """Docs stay consistent with the code: links resolve, CLI flags exist,
-and the serving route inventory matches docs/serving.md both ways.
+and the route inventories match docs/serving.md and docs/operations.md
+both ways.
 
 Wraps ``scripts/check_docs.py`` (which also runs standalone) into the
 default pytest tier so a renamed doc or a dropped CLI flag fails CI.
@@ -87,12 +88,21 @@ def test_route_inventory_matches_both_ways():
     assert check_docs.check_routes() == []
 
 
-def _route_fixture(tmp_path, source: str, doc: str):
-    serve_dir = tmp_path / "src" / "repro" / "serve"
-    serve_dir.mkdir(parents=True)
-    (serve_dir / "server.py").write_text(source)
+def test_ops_route_inventory_matches_both_ways():
+    """The live-ops table and docs/operations.md agree."""
+    assert check_docs.source_routes("src/repro/obs/live") == {
+        "/metrics", "/healthz", "/readyz", "/statusz"}
+    assert check_docs.documented_routes("docs/operations.md") == {
+        "/metrics", "/healthz", "/readyz", "/statusz"}
+
+
+def _route_fixture(tmp_path, source: str, doc: str,
+                   source_dir: str = "src/repro/serve",
+                   doc_name: str = "serving.md"):
+    (tmp_path / source_dir).mkdir(parents=True)
+    (tmp_path / source_dir / "routes.py").write_text(source)
     (tmp_path / "docs").mkdir()
-    (tmp_path / "docs" / "serving.md").write_text(doc)
+    (tmp_path / "docs" / doc_name).write_text(doc)
     return tmp_path
 
 
@@ -115,6 +125,21 @@ def test_checker_catches_phantom_documented_route(tmp_path):
     )
     errors = check_docs.check_routes(root)
     assert any("/v1/ghost" in e and "no src/repro/serve" in e for e in errors)
+
+
+def test_checker_checks_ops_routes_against_operations_doc(tmp_path):
+    root = _route_fixture(
+        tmp_path,
+        'ENDPOINTS = ("/metrics", "/readyz")\n',
+        "# Operations\n`/metrics` and `/statusz`.\n",
+        source_dir="src/repro/obs/live", doc_name="operations.md",
+    )
+    errors = check_docs.check_routes(root)
+    assert any(e.startswith("docs/operations.md: route /readyz")
+               and "not documented" in e for e in errors)
+    assert any("/statusz" in e and "no src/repro/obs/live" in e
+               for e in errors)
+    assert not any("/metrics" in e for e in errors)
 
 
 def test_heading_slugs_follow_github_rules(tmp_path):
