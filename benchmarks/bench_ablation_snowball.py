@@ -2,7 +2,9 @@
 
 Not in the paper as a table, but implied by §5.2's discussion: how much of
 the ecosystem does each expansion hop recover, and what stays invisible
-when a family has no transaction path to the seed?
+when a family has no transaction path to the seed?  Hop *k* is round *k*
+of the expander's semi-naive fixpoint: the contracts admitted once the
+accounts of hop *k−1* are known (``repro.core.snowball``).
 
 Timed section: one full expansion (measures convergence cost).
 """

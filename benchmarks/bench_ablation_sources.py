@@ -2,9 +2,10 @@
 
 The paper leans on four label sources to mitigate seed incompleteness
 (§5.2).  This ablation seeds from every prefix of the source list and
-measures seed size and post-expansion recall: snowball sampling largely
-compensates for missing feeds, *as long as* every family keeps at least
-one labeled contract somewhere.
+measures seed size and post-expansion recall (the snowball rule's least
+fixpoint from that seed): snowball sampling largely compensates for
+missing feeds, *as long as* every family keeps at least one labeled
+contract somewhere.
 
 Timed section: seeding + expansion from the single richest feed.
 """

@@ -7,6 +7,10 @@ engine on a multi-round snowball world:
   than the uncached serial baseline (cross-stage memoization);
 * thread-parallel and process-sharded runs report txs/s next to serial
   at identical output (parity is asserted here as well as in tier-1);
+* the ``*-latency`` rows repeat serial, 4 threads and 2x2 shards under
+  an I/O-shaped upstream (:data:`LATENCY_PLAN`: 5% of chain reads sleep
+  2 ms) — where threads earn their place on a CPU-bound in-memory chain
+  they otherwise lose;
 * every sample lands in ``out/perf_parallel.json`` together with the
   machine context (cpu count, multiprocessing start method) — perf
   numbers are meaningless diffed across machines without it.
@@ -38,6 +42,8 @@ from repro.analysis.reporting import render_table
 from repro.api import build_dataset
 from repro.runtime import (
     ExecutionEngine,
+    FaultPlan,
+    FaultRule,
     ParallelExecutor,
     SerialExecutor,
     ShardingRuntime,
@@ -51,6 +57,11 @@ _SCALE = 0.05
 #: paper scale (asserted by ``--assert-floor``).
 FLOOR_SPEEDUP = 2.5
 FLOOR_PROCESSES = 4
+
+#: An I/O-shaped upstream: 5% of rpc and explorer reads sleep 2 ms.
+LATENCY_PLAN = FaultPlan(seed=7, rules=(
+    FaultRule(upstream="*", kind="latency", rate=0.05, latency_s=0.002),
+))
 
 
 def machine_context() -> dict:
@@ -81,6 +92,14 @@ def _engine_configs():
          lambda: ExecutionEngine(sharding=ShardingRuntime(shards=2, processes=2))),
         ("shard-4x4-cached", 4, 4,
          lambda: ExecutionEngine(sharding=ShardingRuntime(shards=4, processes=4))),
+        ("serial-latency", 0, 1,
+         lambda: ExecutionEngine(SerialExecutor(), fault_plan=LATENCY_PLAN)),
+        ("parallel-4-latency", 0, 1,
+         lambda: ExecutionEngine(ParallelExecutor(workers=4, chunk_size=4),
+                                 fault_plan=LATENCY_PLAN)),
+        ("shard-2x2-latency", 2, 2,
+         lambda: ExecutionEngine(sharding=ShardingRuntime(shards=2, processes=2),
+                                 fault_plan=LATENCY_PLAN)),
     ]
 
 

@@ -6,7 +6,10 @@ Reproduces the full dataset-construction methodology:
 1. collect candidate contracts from the four public label feeds;
 2. keep those whose histories exhibit profit sharing (Step 2);
 3. extract operators (smaller share) and affiliates (larger share);
-4. snowball-expand until no new contracts appear;
+4. snowball-expand to the least fixpoint: each round walks the
+   accounts the previous round made known, admits every pending
+   candidate with two known counterparties, and stops when a round
+   admits nothing;
 5. run the two-reviewer validation protocol over the result;
 6. write the dataset JSON exactly as it would be released.
 
@@ -43,9 +46,10 @@ def main() -> None:
     expansion = SnowballExpander(analyzer).expand(dataset)
     print("\nStep 4: snowball expansion")
     for stats in expansion.iterations:
-        print(f"  hop {stats.iteration}: scanned {stats.accounts_scanned} accounts, "
-              f"+{stats.new_contracts} contracts, +{stats.new_operators} operators, "
-              f"+{stats.new_affiliates} affiliates, +{stats.new_transactions} txs")
+        print(f"  hop {stats.iteration}: walked {stats.accounts_scanned} accounts, "
+              f"+{stats.new_contracts} contracts, +{stats.new_operators} operator "
+              f"and +{stats.new_affiliates} affiliate accounts, "
+              f"+{stats.new_transactions} txs")
     print(f"  converged: {expansion.converged}")
     print(f"  expanded dataset = {dataset.summary()}")
 

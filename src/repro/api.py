@@ -14,18 +14,11 @@ One :class:`PipelineConfig` carries every knob: world parameters,
 engine/worker/cache selection, observability, and the fault-tolerance
 options (retry policy, fault plan, checkpoint/resume) described in
 ``docs/reliability.md``.
-
-Deprecated surface, kept for one release: calling ``run_pipeline`` with
-loose keyword arguments (``scale=…``, ``seed=…``, ``params=…``,
-``world=…``, ``engine=…``) still works but emits a
-``DeprecationWarning``; so does unpacking :func:`build_dataset`'s result
-as the old 5-tuple.
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from repro.analysis import (
@@ -43,6 +36,7 @@ from repro.core import (
     ContractAnalyzer,
     DaaSDataset,
     ExpansionReport,
+    IterationStats,
     SeedBuilder,
     SeedReport,
     SnowballExpander,
@@ -152,11 +146,7 @@ class PipelineConfig:
 
 @dataclass
 class DatasetBuildResult:
-    """Everything dataset construction (paper §5) produces.
-
-    Prefer the named fields; unpacking as the pre-PR-4 5-tuple still
-    works through :meth:`__iter__` but is deprecated.
-    """
+    """Everything dataset construction (paper §5) produces."""
 
     dataset: DaaSDataset
     seed_report: SeedReport
@@ -165,22 +155,6 @@ class DatasetBuildResult:
     seed_summary: dict[str, int]
     #: Checkpoint/resume bookkeeping; ``None`` when checkpointing is off.
     resume_info: ResumeInfo | None = None
-
-    def __iter__(self):
-        warnings.warn(
-            "unpacking build_dataset() as a tuple is deprecated; use the "
-            "DatasetBuildResult fields (.dataset, .seed_report, "
-            ".expansion_report, .analyzer, .seed_summary) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return iter((
-            self.dataset,
-            self.seed_report,
-            self.expansion_report,
-            self.analyzer,
-            self.seed_summary,
-        ))
 
 
 @dataclass
@@ -297,41 +271,43 @@ def _build_dataset(
     resume: bool,
 ) -> DatasetBuildResult:
     state = manager.load() if (manager is not None and resume) else None
-    snowball_resume = None
+    expander, report = SnowballExpander(analyzer), None
     if state is None:
         dataset, seed_report = SeedBuilder(analyzer, world.feeds).build()
         seed_summary = dict(dataset.summary())
-        if manager is not None:
-            manager.save("seed", {
-                "dataset": CheckpointManager.encode_dataset(dataset),
-                "seed_report": CheckpointManager.encode_seed_report(seed_report),
-                "seed_summary": seed_summary,
-            })
         restored_stage, rounds_restored = None, 0
     else:
         dataset = CheckpointManager.decode_dataset(state["dataset"])
         seed_report = CheckpointManager.decode_seed_report(state["seed_report"])
         seed_summary = dict(state["seed_summary"])
-        if "snowball" in state:
-            snowball_resume = CheckpointManager.decode_expansion(state["snowball"])
         restored_stage = state["stage"]
-        rounds_restored = len(state.get("snowball", {}).get("iterations", []))
+        snowball = state.get("snowball")
+        if snowball is not None:
+            expander = SnowballExpander.decode(snowball["expander"], analyzer, dataset)
+            report = ExpansionReport(
+                iterations=[IterationStats(**s) for s in snowball["iterations"]]
+            )
+        rounds_restored = len(report.iterations) if report is not None else 0
 
     on_round = None
     if manager is not None:
-        def on_round(report, frontier, rejected):
-            manager.save("snowball", {
-                "dataset": CheckpointManager.encode_dataset(dataset),
-                "seed_report": CheckpointManager.encode_seed_report(seed_report),
-                "seed_summary": seed_summary,
-                "snowball": CheckpointManager.encode_expansion(
-                    report, frontier, rejected
-                ),
-            })
+        # The dataset stays the seed until expansion derives it, so every
+        # checkpoint is the seed plus the expander's between-round state.
+        seed_state = {
+            "dataset": CheckpointManager.encode_dataset(dataset),
+            "seed_report": CheckpointManager.encode_seed_report(seed_report),
+            "seed_summary": seed_summary,
+        }
+        if state is None:
+            manager.save("seed", seed_state)
 
-    expansion_report = SnowballExpander(analyzer).expand(
-        dataset, resume_state=snowball_resume, on_round=on_round
-    )
+        def on_round(report):
+            manager.save("snowball", {**seed_state, "snowball": {
+                "expander": expander.encode(),
+                "iterations": [asdict(s) for s in report.iterations],
+            }})
+
+    expansion_report = expander.expand(dataset, report=report, on_round=on_round)
 
     resume_info = None
     if manager is not None:
@@ -355,46 +331,14 @@ def _build_dataset(
     )
 
 
-_LEGACY_KWARGS = ("params", "scale", "seed", "world", "engine")
-
-
-def _coerce_config(config, legacy: dict) -> PipelineConfig:
-    """Fold the pre-PR-4 loose-kwarg surface into a :class:`PipelineConfig`."""
-    if isinstance(config, SimulationParams):
-        warnings.warn(
-            "run_pipeline(params) is deprecated; pass "
-            "PipelineConfig(params=...) instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        config = PipelineConfig(params=config)
-    elif config is None:
+def run_pipeline(config: PipelineConfig | None = None) -> PipelineResult:
+    """Build (or reuse) a world and run dataset construction + measurement."""
+    if config is None:
         config = PipelineConfig()
     elif not isinstance(config, PipelineConfig):
         raise TypeError(
-            "run_pipeline() expects a PipelineConfig (or a legacy "
-            f"SimulationParams), got {type(config).__name__}"
+            f"run_pipeline() expects a PipelineConfig, got {type(config).__name__}"
         )
-    if legacy:
-        unknown = set(legacy) - set(_LEGACY_KWARGS)
-        if unknown:
-            raise TypeError(
-                f"run_pipeline() got unexpected keyword arguments: {sorted(unknown)}"
-            )
-        warnings.warn(
-            f"run_pipeline keyword arguments {sorted(legacy)} are deprecated; "
-            "set the corresponding PipelineConfig fields instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        for name, value in legacy.items():
-            setattr(config, name, value)
-    return config
-
-
-def run_pipeline(config: PipelineConfig | None = None, **legacy) -> PipelineResult:
-    """Build (or reuse) a world and run dataset construction + measurement."""
-    config = _coerce_config(config, legacy)
     world = config.resolved_world()
     engine = config.make_engine()
 

@@ -64,7 +64,7 @@ class Provenance:
     """How an address entered the dataset."""
 
     stage: str               # "seed" | "expansion"
-    source: str              # label feed name, or "snowball:<iteration>"
+    source: str              # label feed name, or "snowball"
 
 
 @dataclass

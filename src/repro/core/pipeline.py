@@ -76,7 +76,6 @@ class ContractAnalyzer:
         explorer: Explorer,
         oracle: PriceOracle,
         classifier: ProfitSharingClassifier | None = None,
-        min_ps_txs: int = 1,
         engine: ExecutionEngine | None = None,
     ) -> None:
         self.rpc = rpc
@@ -87,7 +86,6 @@ class ContractAnalyzer:
         self.rpc_classifier = RPCClassifier(
             self.reads, classifier, cache=self.engine.match_cache
         )
-        self.min_ps_txs = min_ps_txs
 
     @property
     def obs(self):
@@ -127,8 +125,6 @@ class ContractAnalyzer:
                 # split must be performed by the invoked contract itself.
                 continue
             analysis.matches.extend(self.rpc_classifier.classify_hash(tx.hash))
-        if len(analysis.matches) < self.min_ps_txs:
-            analysis.matches.clear()
         if analysis.is_profit_sharing:
             self.obs.event(
                 "classify.profit_sharing", level="debug", contract=contract,

@@ -1,109 +1,107 @@
-"""Snowball expansion of the DaaS dataset (paper §5.1, Step 4).
+"""Snowball expansion of the DaaS dataset (paper §5.1, Step 4) — the one rule.
 
-Starting from the seed operators and affiliates, walk each known account's
-transaction history.  When a transaction is profit-sharing and invokes a
-contract not yet in the dataset, the contract is admitted if it has
-*previously interacted with another phishing account already in the
-dataset* (the paper's guard against pulling in unrelated contracts).
-Admitted contracts go through the same Step 2/3 analysis, their operators
-and affiliates join the frontier, and the walk repeats until a fixpoint.
+Starting from the seed operators and affiliates, walk each known
+account's transaction history.  A contract invoked by a
+profit-sharing transaction in such a history is a *candidate*; it is
+admitted once its counterparty set contains at least two known
+entities besides itself (the paper's guard against pulling in
+unrelated contracts).  An admitted contract's profit-sharing matches
+make their recipients known, their histories are walked in turn, and
+the expansion repeats until a fixpoint.
 
-The iteration-by-iteration statistics are kept for the convergence
-ablation (how much of the ecosystem each hop recovers).
+Both conditions are monotone in the known set and the watermark, so
+the admitted set at watermark ``W`` is the unique least fixpoint of
+the rule — independent of how the chain prefix was sliced into deltas,
+of arrival order and of worker count.  The batch build folds the whole
+chain in one :meth:`SnowballExpander.advance`; the stream
+(:mod:`repro.stream`) folds it delta by delta; both build their
+dataset through :meth:`SnowballExpander.derive_dataset`.
+
+``advance`` computes the fixpoint as semi-naive rounds: round *k*
+walks the accounts that became known in round *k−1* (the seed
+accounts in round 1), admits the pending candidates that now pass the
+guard, and scans the new contracts' matches for the accounts round
+*k+1* walks.  Round *k*'s new contracts are hop *k* of the expansion
+(:class:`IterationStats`, the convergence ablation).
+
+Incrementality is cursor-based: per-account walk cursors,
+per-candidate counterparty cursors and per-contract match cursors each
+consume only transactions newly under the watermark, and a delta's
+*touched set* limits the first round to addresses whose histories
+grew.  All reads go through the analyzer's caches (``runtime.cache``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass, field, fields
 
 from repro.core.dataset import DaaSDataset
 from repro.core.pipeline import ContractAnalyzer, split_roles
 
 __all__ = [
-    "IterationStats",
     "ExpansionReport",
+    "IterationStats",
     "SnowballExpander",
-    "counterparty_set",
-    "evaluate_frontier_account",
+    "TickReport",
+    "walk_account",
 ]
 
-#: Called after every completed round with ``(report, frontier, rejected)``
-#: — the exact state a resumed expansion needs (checkpoint hook).
-RoundHook = Callable[["ExpansionReport", list[str], set[str]], None]
+#: The batch build's watermark: every transaction on the chain is under it.
+END_OF_CHAIN = 2**63 - 1
 
 
-def counterparty_set(
-    analyzer: ContractAnalyzer, contract: str, counterparties: dict[str, set[str]]
-) -> set[str]:
-    """Every address the contract's history touches (memoized into
-    ``counterparties``).  Module-level so shard worker processes share the
-    exact logic — and therefore the exact admission decisions — of the
-    serial walk."""
-    cached = counterparties.get(contract)
-    if cached is not None:
-        return cached
-    parties: set[str] = set()
-    for tx in analyzer.transactions_of(contract):
-        parties.add(tx.sender)
-        if tx.to:
-            parties.add(tx.to)
-        for match in analyzer.rpc_classifier.classify_hash(tx.hash):
-            parties.add(match.operator)
-            parties.add(match.affiliate)
-            parties.add(match.source)
-    parties.discard(contract)
-    counterparties[contract] = parties
-    return parties
+def walk_account(
+    analyzer: ContractAnalyzer, account: str, start: int, watermark_ts: int, skip
+) -> tuple[int, list[str]]:
+    """Walk ``account``'s history from offset ``start`` up to the watermark.
 
-
-def evaluate_frontier_account(
-    analyzer: ContractAnalyzer,
-    account: str,
-    known_contracts: frozenset[str] | set[str],
-    known_accounts: frozenset[str] | set[str],
-    rejected: frozenset[str] | set[str],
-    counterparties: dict[str, set[str]],
-) -> list[tuple[str, bool]]:
-    """Walk one frontier account's history and evaluate every candidate
-    contract it surfaces: ``(candidate, passes the admission guard)``.
-
-    Pure within a round given the frozen ``known_*``/``rejected`` sets, so
-    it runs identically on the calling process, a worker thread, or a
-    shard worker process (``repro.runtime.sharding``)."""
-    out: list[tuple[str, bool]] = []
-    for tx in analyzer.transactions_of(account):
+    Returns the new cursor and the contracts invoked by profit-sharing
+    transactions in the walked slice, first-seen order, leaving out
+    ``skip``.  Pure in its arguments, so it runs identically on the
+    calling thread, a worker thread, or a shard worker process
+    (``repro.runtime.sharding``)."""
+    txs = analyzer.transactions_of(account)
+    i = start
+    found: list[str] = []
+    seen: set[str] = set()
+    while i < len(txs) and txs[i].timestamp <= watermark_ts:
+        tx = txs[i]
+        i += 1
         candidate = tx.to
-        if candidate is None or candidate in known_contracts or candidate in rejected:
+        if candidate is None or candidate in skip or candidate in seen:
             continue
         if not analyzer.rpc_classifier.classify_hash(tx.hash):
             continue
         if not analyzer.is_contract(candidate):
             continue
-        parties = counterparty_set(analyzer, candidate, counterparties)
-        admissible = any(
-            p != account and p != candidate and p in known_accounts for p in parties
-        )
-        out.append((candidate, admissible))
-    return out
+        seen.add(candidate)
+        found.append(candidate)
+    return i, found
 
 
 @dataclass(slots=True)
 class IterationStats:
-    """One snowball iteration's yield."""
+    """One snowball round's yield."""
 
     iteration: int
     accounts_scanned: int = 0
+    #: Candidates first discovered this round.
     candidates_seen: int = 0
+    #: Of those, the ones still short of the guard at the round's end.
     candidates_rejected: int = 0
     new_contracts: int = 0
+    #: Accounts first known this round, by their role in the match
+    #: that introduced them.
     new_operators: int = 0
     new_affiliates: int = 0
+    #: Profit-sharing matches of this round's new contracts.
     new_transactions: int = 0
 
 
 @dataclass
 class ExpansionReport:
+    """Per-round statistics of one batch expansion."""
+
     iterations: list[IterationStats] = field(default_factory=list)
 
     @property
@@ -112,38 +110,102 @@ class ExpansionReport:
 
     @property
     def converged(self) -> bool:
-        return bool(self.iterations) and self.iterations[-1].new_contracts == 0
+        return not self.iterations or self.iterations[-1].new_contracts == 0
+
+
+@dataclass(slots=True)
+class TickReport:
+    """What one ``advance`` call changed (feeds metrics + clustering)."""
+
+    watermark_ts: int = 0
+    rounds: list[IterationStats] = field(default_factory=list)
+    admitted: list[str] = field(default_factory=list)
+    #: Contracts whose watermarked match list grew — the clusterer
+    #: unions exactly these contracts' new edges.
+    contracts_with_new_matches: list[str] = field(default_factory=list)
+
+    @property
+    def new_accounts(self) -> int:
+        return sum(s.new_operators + s.new_affiliates for s in self.rounds)
+
+
+@dataclass(slots=True)
+class _PendingCandidate:
+    """A discovered contract not yet past the counterparty guard."""
+
+    parties: set[str] = field(default_factory=set)
+    #: Consumed prefix of the candidate's transaction history.
+    cursor: int = 0
+
+
+def _seed_copy(dataset: DaaSDataset) -> DaaSDataset:
+    """The entities and provenance of ``dataset`` (its records are
+    re-derived from matches, so they are not needed)."""
+    return DaaSDataset(
+        contracts=set(dataset.contracts),
+        operators=set(dataset.operators),
+        affiliates=set(dataset.affiliates),
+        provenance=dict(dataset.provenance),
+    )
 
 
 class SnowballExpander:
-    """Iterative dataset expansion until no new contracts appear."""
+    """Watermarked snowball state over one analyzer.
 
-    def __init__(self, analyzer: ContractAnalyzer, max_iterations: int = 50) -> None:
+    ``seeds`` anchors the known sets: its contracts, operators and
+    affiliates are trusted from the start (they are feed-derived
+    inputs, not watermark-derived facts).  Everything else — admissions,
+    roles, records — is a pure function of ``(seeds, watermark)``,
+    which is what gives the batch build, the incremental stream and
+    its cold rebuild byte-identical datasets.
+    """
+
+    def __init__(self, analyzer: ContractAnalyzer, seeds: DaaSDataset | None = None) -> None:
         self.analyzer = analyzer
-        self.max_iterations = max_iterations
-        self._counterparties: dict[str, set[str]] = {}
-        self._rejected: set[str] = set()
+        self._bind(seeds if seeds is not None else DaaSDataset())
 
-    # -- public ------------------------------------------------------------
+    def _bind(self, seeds: DaaSDataset) -> None:
+        self.seeds = seeds
+        self.watermark_ts: int | None = None
+        #: Admitted contracts (seed contracts included from the start).
+        self.contracts: set[str] = set(seeds.contracts)
+        #: Known operator/affiliate accounts (role-free union — roles are
+        #: derived at snapshot time, because the majority vote can flip).
+        self.accounts: set[str] = set(seeds.operators) | set(seeds.affiliates)
+        self._account_cursor: dict[str, int] = {}
+        self._match_cursor: dict[str, int] = {}
+        self._pending: dict[str, _PendingCandidate] = {}
+        #: The next round's work while an ``advance`` is under way
+        #: (checkpointed between rounds); ``None`` between advances.
+        self._worklist: dict | None = None
 
-    def expand(
-        self,
-        dataset: DaaSDataset,
-        resume_state: tuple[ExpansionReport, list[str], set[str]] | None = None,
-        on_round: RoundHook | None = None,
-    ) -> ExpansionReport:
-        """Mutate ``dataset`` in place; returns per-iteration statistics.
+    # -- batch entry point ---------------------------------------------------
 
-        ``resume_state`` is ``(report, frontier, rejected)`` as a prior
-        run's ``on_round`` hook last saw it: completed rounds are not
-        re-walked, and the continuation is byte-identical to a run that
-        was never interrupted (``tests/runtime/test_checkpoint.py``).
-        ``on_round`` fires after every completed round — the
-        checkpoint-persistence seam.
+    def expand(self, dataset: DaaSDataset, report: ExpansionReport | None = None,
+               on_round=None) -> ExpansionReport:
+        """Expand ``dataset`` in place to the fixpoint over the whole chain.
+
+        A fresh expander takes ``dataset`` as its seeds.  One decoded
+        from a snowball checkpoint finishes its interrupted ``advance``
+        and appends to ``report``, the rounds completed before the
+        interruption.  ``on_round(report)`` fires after every round,
+        when :meth:`encode` captures a resumable state.
         """
+        if self.watermark_ts is None:
+            self._bind(_seed_copy(dataset))
+        report = report if report is not None else ExpansionReport()
+
+        def round_done(stats: IterationStats) -> None:
+            report.iterations.append(stats)
+            if on_round is not None:
+                on_round(report)
+
         engine = self.analyzer.engine
         with engine.stage("snowball"):
-            report = self._expand(dataset, resume_state, on_round)
+            self.advance(END_OF_CHAIN, on_round=round_done)
+            derived = self.derive_dataset()
+        for f in fields(DaaSDataset):
+            setattr(dataset, f.name, getattr(derived, f.name))
         engine.obs.event(
             "snowball.done",
             iterations=len(report.iterations),
@@ -152,146 +214,262 @@ class SnowballExpander:
         )
         return report
 
-    def _expand(
-        self,
-        dataset: DaaSDataset,
-        resume_state: tuple[ExpansionReport, list[str], set[str]] | None = None,
-        on_round: RoundHook | None = None,
-    ) -> ExpansionReport:
-        obs = self.analyzer.engine.obs
-        if resume_state is not None:
-            report, frontier, rejected = resume_state
-            frontier = list(frontier)
-            self._rejected = set(rejected)
-            if report.converged:
-                return report
-            start = len(report.iterations) + 1
-        else:
-            report = ExpansionReport()
-            frontier = sorted(dataset.operators | dataset.affiliates)
-            start = 1
+    # -- the fixpoint --------------------------------------------------------
 
-        for iteration in range(start, self.max_iterations + 1):
-            stats = IterationStats(iteration=iteration)
-            with obs.span("snowball.round", round=iteration) as round_span:
-                new_contracts = self._discover_contracts(
-                    frontier, dataset, stats, iteration
+    def advance(self, watermark_ts: int, touched=None, on_round=None) -> TickReport:
+        """Fold everything at or under ``watermark_ts`` into the state.
+
+        ``touched`` (a delta's grown-history address set) restricts the
+        first round; ``None`` means examine everything — the cold path.
+        The admitted set after the call is the rule's least fixpoint at
+        the watermark, however the prefix was batched.  ``on_round``
+        is called with each round's :class:`IterationStats`.
+        """
+        if self._worklist is None:
+            if self.watermark_ts is not None and watermark_ts < self.watermark_ts:
+                raise ValueError(
+                    f"watermark moved backwards: {watermark_ts} < {self.watermark_ts}"
                 )
-                frontier = self._admit_contracts(new_contracts, dataset, stats, iteration)
-                round_span.set(
-                    frontier=stats.accounts_scanned,
-                    discovered=len(new_contracts),
-                    new_contracts=stats.new_contracts,
-                )
-            obs.event(
-                "snowball.round", level="debug", round=iteration,
-                accounts_scanned=stats.accounts_scanned,
-                new_contracts=stats.new_contracts,
-                new_operators=stats.new_operators,
-                new_affiliates=stats.new_affiliates,
+            self.watermark_ts = watermark_ts
+            # A pending candidate or account *not* in the touched set has
+            # no new transactions under the new watermark — its cursor
+            # already consumed everything — so skipping it is exact.
+            walk, refresh, scan = self.accounts, set(self._pending), self.contracts
+            if touched is not None:
+                walk, refresh, scan = walk & touched, refresh & touched, scan & touched
+            self._worklist = {
+                "round": 1, "walk": sorted(walk), "refresh": sorted(refresh),
+                "scan": sorted(scan), "recheck": False,
+            }
+        elif watermark_ts != self.watermark_ts:
+            raise ValueError(
+                f"an interrupted advance to {self.watermark_ts} cannot resume at {watermark_ts}"
             )
-            report.iterations.append(stats)
+        report = TickReport(watermark_ts=watermark_ts)
+        new_matches: set[str] = set()
+        work = self._worklist
+        while work["walk"] or work["refresh"] or work["scan"] or work["recheck"]:
+            stats = IterationStats(iteration=work["round"])
+            with self.analyzer.obs.span("snowball.round", round=stats.iteration) as span:
+                work = self._worklist = self._round(work, stats, report, new_matches)
+                span.set(frontier=stats.accounts_scanned, discovered=stats.candidates_seen,
+                         new_contracts=stats.new_contracts)
+            report.rounds.append(stats)
             if on_round is not None:
-                on_round(report, frontier, self._rejected)
-            if not new_contracts:
-                break
+                on_round(stats)
+        self._worklist = None
+        report.contracts_with_new_matches = sorted(new_matches)
         return report
 
-    # -- discovery -------------------------------------------------------------
-
-    def _discover_contracts(
-        self,
-        frontier: list[str],
-        dataset: DaaSDataset,
-        stats: IterationStats,
-        iteration: int,
-    ) -> list[str]:
-        # Per-account evaluation is pure within a round (the dataset and the
-        # rejected set only change between rounds), so it fans out over the
-        # engine — threads, or shard worker processes when a sharding
-        # runtime is attached; the merge below replays the accounts in
-        # frontier order so discovery order, statistics, and the resulting
-        # dataset are byte-identical to a serial walk.
+    def _round(self, work: dict, stats: IterationStats, report: TickReport,
+               new_matches: set[str]) -> dict:
+        """One semi-naive round; returns the next round's worklist."""
         engine = self.analyzer.engine
+        # 1. Walk the round's accounts; their new candidates go pending.
+        fresh = self._walk(work["walk"], stats)
+
+        # 2. Admission: refresh the counterparty sets that grew, then
+        # evaluate the guard against the known set as the round found
+        # it — for every pending candidate once the known set has grown.
+        refresh = sorted(set(work["refresh"]) | set(fresh))
+        if refresh:
+            engine.map(lambda c: self._advance_parties(c, self._pending[c]), refresh)
+        to_check = sorted(self._pending) if work["recheck"] else refresh
+        admitted = [c for c in to_check if self._admissible(c, self._pending[c].parties)]
+        for candidate in admitted:
+            del self._pending[candidate]
+            self.contracts.add(candidate)
+        report.admitted.extend(admitted)
+        stats.new_contracts = len(admitted)
+        stats.candidates_rejected = sum(1 for c in fresh if c in self._pending)
+
+        # 3. Scan grown match lists; their new recipients are walked next
+        # round.  Classification of the new contracts fans out first.
+        self.analyzer.analyze_many(admitted)
+        new_accounts: list[str] = []
+        is_new = set(admitted)
+        for contract in sorted(set(work["scan"]) | is_new):
+            matches = self._advance_matches(contract)
+            if not matches:
+                continue
+            new_matches.add(contract)
+            if contract in is_new:
+                stats.new_transactions += len(matches)
+            for match in matches:
+                if match.operator not in self.accounts:
+                    self.accounts.add(match.operator)
+                    new_accounts.append(match.operator)
+                    stats.new_operators += 1
+                if match.affiliate not in self.accounts:
+                    self.accounts.add(match.affiliate)
+                    new_accounts.append(match.affiliate)
+                    stats.new_affiliates += 1
+        return {
+            "round": stats.iteration + 1, "walk": sorted(new_accounts),
+            "refresh": [], "scan": [], "recheck": bool(admitted or new_accounts),
+        }
+
+    def _walk(self, accounts: list[str], stats: IterationStats) -> list[str]:
+        """Walk ``accounts`` (fanned out over threads or shard processes,
+        merged back in input order); returns the new candidates."""
+        if not accounts:
+            return []
+        engine = self.analyzer.engine
+        starts = [self._account_cursor.get(a, 0) for a in accounts]
+        skip = self.contracts | self._pending.keys()
         sharding = engine.sharding
         if sharding is not None and sharding.active:
-            evaluated = sharding.discover(
-                self.analyzer,
-                frontier,
-                known_contracts=set(dataset.contracts),
-                known_accounts=set(dataset.all_accounts),
-                rejected=self._rejected,
-                round_no=iteration,
+            walked = sharding.discover(
+                self.analyzer, accounts, starts, self.watermark_ts, skip,
+                round_no=stats.iteration,
             )
         else:
-            evaluated = engine.map(
-                lambda account: self._evaluate_account(account, dataset), frontier
+            walked = engine.map(
+                lambda item: walk_account(self.analyzer, *item, self.watermark_ts, skip),
+                list(zip(accounts, starts)),
             )
-        found: list[str] = []
-        seen: set[str] = set()
-        for account_candidates in evaluated:
-            stats.accounts_scanned += 1
-            for candidate, admissible in account_candidates:
-                if candidate in seen:
-                    continue
-                stats.candidates_seen += 1
-                if admissible:
-                    found.append(candidate)
-                    seen.add(candidate)
-                else:
-                    stats.candidates_rejected += 1
-        return found
+        fresh: list[str] = []
+        for account, (cursor, candidates) in zip(accounts, walked):
+            self._account_cursor[account] = cursor
+            for candidate in candidates:
+                if candidate not in self._pending:
+                    self._pending[candidate] = _PendingCandidate()
+                    fresh.append(candidate)
+        stats.accounts_scanned = len(accounts)
+        stats.candidates_seen = len(fresh)
+        return fresh
 
-    def _evaluate_account(
-        self, account: str, dataset: DaaSDataset
-    ) -> list[tuple[str, bool]]:
-        """Serial/threaded path: delegate to the shared evaluation with
-        the expander's own memo (candidate guard semantics documented on
-        :func:`evaluate_frontier_account`)."""
-        return evaluate_frontier_account(
-            self.analyzer,
-            account,
-            known_contracts=dataset.contracts,
-            known_accounts=dataset.all_accounts,
-            rejected=self._rejected,
-            counterparties=self._counterparties,
-        )
+    def _advance_parties(self, candidate: str, pending: _PendingCandidate) -> None:
+        """Extend the candidate's watermarked counterparty set."""
+        txs = self.analyzer.transactions_of(candidate)
+        i = pending.cursor
+        parties = pending.parties
+        while i < len(txs) and txs[i].timestamp <= self.watermark_ts:
+            tx = txs[i]
+            i += 1
+            parties.add(tx.sender)
+            if tx.to:
+                parties.add(tx.to)
+            for match in self.analyzer.rpc_classifier.classify_hash(tx.hash):
+                parties.add(match.operator)
+                parties.add(match.affiliate)
+                parties.add(match.source)
+        parties.discard(candidate)
+        pending.cursor = i
 
-    # -- admission ----------------------------------------------------------------
+    def _admissible(self, candidate: str, parties: set[str]) -> bool:
+        known = 0
+        for party in parties:
+            if party in self.contracts or party in self.accounts:
+                known += 1
+                if known >= 2:
+                    return True
+        return False
 
-    def _admit_contracts(
-        self,
-        candidates: list[str],
-        dataset: DaaSDataset,
-        stats: IterationStats,
-        iteration: int,
-    ) -> list[str]:
-        """Run Step 2/3 on discovered contracts; returns the new frontier."""
-        new_frontier: list[str] = []
-        source = f"snowball:{iteration}"
-        ordered = sorted(candidates)
-        # Batch pre-warm: classification of this round's discoveries fans
-        # out over the engine; the admission loop below runs on cache hits.
-        self.analyzer.analyze_many(ordered)
-        for contract in ordered:
-            analysis = self.analyzer.analyze(contract)
-            if not analysis.is_profit_sharing:
-                self._rejected.add(contract)
-                stats.candidates_rejected += 1
+    def _advance_matches(self, contract: str):
+        """Consume the contract's newly watermarked profit-sharing matches."""
+        matches = self.analyzer.analyze(contract).matches
+        start = i = self._match_cursor.get(contract, 0)
+        while i < len(matches) and matches[i].timestamp <= self.watermark_ts:
+            i += 1
+        self._match_cursor[contract] = i
+        return matches[start:i]
+
+    # -- snapshot-time derivation --------------------------------------------
+
+    def matches_of(self, contract: str):
+        """The contract's profit-sharing matches at the watermark (the
+        consumed prefix of its cached full-history analysis)."""
+        cursor = self._match_cursor.get(contract, 0)
+        if cursor == 0:
+            return []
+        return self.analyzer.analyze(contract).matches[:cursor]
+
+    def derive_dataset(self) -> DaaSDataset:
+        """The §5.1 dataset as of the watermark — a pure function of the
+        admitted/known state, shared by the batch build, the incremental
+        stream and its cold rebuild.
+
+        Roles are recomputed from the watermarked matches on every
+        snapshot (never accumulated) because the operator/affiliate
+        majority vote is not monotone; expansion-admitted entities carry
+        the constant provenance ``("expansion", "snowball")`` so the
+        record cannot depend on rounds or delta batching.
+        """
+        dataset = DaaSDataset()
+        seeds = self.seeds
+        for address in sorted(seeds.contracts):
+            prov = seeds.provenance[address]
+            dataset.add_contract(address, stage=prov.stage, source=prov.source)
+        for address in sorted(seeds.operators):
+            prov = seeds.provenance[address]
+            dataset.add_operator(address, stage=prov.stage, source=prov.source)
+        for address in sorted(seeds.affiliates):
+            prov = seeds.provenance[address]
+            dataset.add_affiliate(address, stage=prov.stage, source=prov.source)
+
+        for contract in sorted(self.contracts):
+            matches = self.matches_of(contract)
+            dataset.add_contract(contract, stage="expansion", source="snowball")
+            if not matches:
                 continue
-            dataset.add_contract(contract, stage="expansion", source=source)
-            stats.new_contracts += 1
+            operators, affiliates = split_roles(matches)
+            for operator in sorted(operators):
+                dataset.add_operator(operator, stage="expansion", source="snowball")
+            for affiliate in sorted(affiliates):
+                dataset.add_affiliate(affiliate, stage="expansion", source="snowball")
+            for record in self.analyzer.to_records(matches):
+                dataset.add_transaction(record)
+        return dataset
 
-            operators, affiliates = split_roles(analysis.matches)
-            for operator in operators:
-                if dataset.add_operator(operator, stage="expansion", source=source):
-                    stats.new_operators += 1
-                    new_frontier.append(operator)
-            for affiliate in affiliates:
-                if dataset.add_affiliate(affiliate, stage="expansion", source=source):
-                    stats.new_affiliates += 1
-                    new_frontier.append(affiliate)
-            for record in self.analyzer.to_records(analysis.matches):
-                if dataset.add_transaction(record):
-                    stats.new_transactions += 1
-        return new_frontier
+    def derive_edges(self) -> list[tuple[str, str]]:
+        """Every ``(contract, recipient)`` profit-sharing edge at the
+        watermark, in deterministic order — the clustering input."""
+        edges: list[tuple[str, str]] = []
+        for contract in sorted(self.contracts):
+            for match in self.matches_of(contract):
+                edges.append((contract, match.operator))
+                edges.append((contract, match.affiliate))
+        return edges
+
+    # -- checkpoint codec ----------------------------------------------------
+
+    def encode(self) -> dict:
+        """JSON-safe resume state (sets, cursors and — mid-advance — the
+        next round's worklist; matches rehydrate from the analyzer's
+        cached histories on decode)."""
+        return {
+            "watermark_ts": self.watermark_ts,
+            "contracts": sorted(self.contracts),
+            "accounts": sorted(self.accounts),
+            "account_cursor": dict(sorted(self._account_cursor.items())),
+            "match_cursor": dict(sorted(self._match_cursor.items())),
+            "pending": {
+                c: {"cursor": p.cursor, "parties": sorted(p.parties)}
+                for c, p in sorted(self._pending.items())
+            },
+            "worklist": self._worklist,
+        }
+
+    @classmethod
+    def decode(
+        cls, payload: dict, analyzer: ContractAnalyzer, seeds: DaaSDataset
+    ) -> "SnowballExpander":
+        expander = cls(analyzer, seeds)
+        expander.watermark_ts = payload.get("watermark_ts")
+        expander.contracts = set(payload.get("contracts", []))
+        expander.accounts = set(payload.get("accounts", []))
+        expander._account_cursor = {
+            a: int(i) for a, i in payload.get("account_cursor", {}).items()
+        }
+        expander._match_cursor = {
+            c: int(i) for c, i in payload.get("match_cursor", {}).items()
+        }
+        expander._pending = {
+            c: _PendingCandidate(
+                parties=set(p.get("parties", [])), cursor=int(p.get("cursor", 0))
+            )
+            for c, p in payload.get("pending", {}).items()
+        }
+        expander._worklist = payload.get("worklist")
+        return expander

@@ -16,11 +16,13 @@ The checkpoint file carries:
 * ``params`` — the world fingerprint (scale/seed) the run was started
   with; resuming against a different world is refused;
 * ``stage`` — ``"seed"`` or ``"snowball"``: how far the run got;
-* ``dataset`` — the full dataset payload (same shape as
+* ``dataset`` — the seed dataset payload (same shape as
   ``DaaSDataset.to_json``), plus the seed report/summary;
-* ``snowball`` — completed iteration stats, the live frontier, and the
-  rejected-candidate set, so expansion restarts exactly where it
-  stopped instead of re-walking finished rounds.
+* ``snowball`` — the expander's own ``encode()`` (known sets, cursors,
+  pending candidates and the next round's worklist) and the completed
+  rounds' statistics, so expansion restarts exactly where it stopped
+  instead of re-walking finished rounds.  The stream's ``stream``
+  stage stores the same ``encode()`` between ticks.
 
 Writes are atomic (temp file + ``os.replace``) so a kill *during* a
 checkpoint leaves the previous one intact.  Activity is reported as
@@ -46,7 +48,7 @@ __all__ = [
     "ResumeInfo",
 ]
 
-CHECKPOINT_SCHEMA_VERSION = 1
+CHECKPOINT_SCHEMA_VERSION = 2
 
 
 class CheckpointError(RuntimeError):
@@ -187,20 +189,3 @@ class CheckpointManager:
         from repro.core.seed import SeedReport
 
         return SeedReport(**payload)
-
-    @staticmethod
-    def encode_expansion(report, frontier: list[str], rejected: set[str]) -> dict[str, Any]:
-        return {
-            "iterations": [asdict(s) for s in report.iterations],
-            "frontier": list(frontier),
-            "rejected": sorted(rejected),
-        }
-
-    @staticmethod
-    def decode_expansion(payload: dict[str, Any]):
-        from repro.core.snowball import ExpansionReport, IterationStats
-
-        report = ExpansionReport(
-            iterations=[IterationStats(**s) for s in payload["iterations"]]
-        )
-        return report, list(payload["frontier"]), set(payload["rejected"])

@@ -7,23 +7,22 @@ order regardless of completion order — which is what makes parallel
 dataset construction byte-identical to serial (the parity guarantee
 tested in ``tests/runtime/test_parity.py``).
 
-:class:`ParallelExecutor` runs on a thread pool by default.  The
-simulated chain is a shared in-memory object, so threads are the natural
-backend; a process pool is available for picklable, self-contained
-workloads (real RPC fan-out, where workers hold their own connections).
+:class:`ParallelExecutor` runs on a thread pool: the simulated chain is
+a shared in-memory object, and threads earn their place on I/O-shaped
+upstreams (``benchmarks/bench_perf_parallel.py``'s latency rows).  The
+process path is :class:`~repro.runtime.sharding.ShardingRuntime`.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor, as_completed
+from concurrent.futures import ThreadPoolExecutor, as_completed
 from typing import Any, Callable, Iterable, Iterator
 
 __all__ = ["Executor", "SerialExecutor", "ParallelExecutor", "make_executor"]
 
 
 def _run_chunk(fn: Callable[[Any], Any], start: int, chunk: list) -> list[tuple[int, Any]]:
-    # Module-level so the process backend can pickle it.
     return [(start + offset, fn(item)) for offset, item in enumerate(chunk)]
 
 
@@ -60,30 +59,20 @@ class SerialExecutor(Executor):
 
 
 class ParallelExecutor(Executor):
-    """Pooled execution over item chunks.
+    """Thread-pooled execution over item chunks.
 
     ``chunk_size`` trades scheduling overhead against load balance:
     1 (the default) gives best balance for heterogeneous contracts,
     larger chunks amortize submission cost on huge uniform batches.
     """
 
-    _POOLS = {"thread": ThreadPoolExecutor, "process": ProcessPoolExecutor}
-
-    def __init__(
-        self,
-        workers: int | None = None,
-        chunk_size: int = 1,
-        backend: str = "thread",
-    ) -> None:
-        if backend not in self._POOLS:
-            raise ValueError(f"unknown backend {backend!r}; use 'thread' or 'process'")
+    def __init__(self, workers: int | None = None, chunk_size: int = 1) -> None:
         if workers is not None and workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         if chunk_size < 1:
             raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
         self.workers = workers if workers is not None else (os.cpu_count() or 2)
         self.chunk_size = chunk_size
-        self.backend = backend
 
     def map_unordered(
         self, fn: Callable[[Any], Any], items: Iterable[Any]
@@ -95,17 +84,14 @@ class ParallelExecutor(Executor):
             (start, items[start : start + self.chunk_size])
             for start in range(0, len(items), self.chunk_size)
         ]
-        pool_cls = self._POOLS[self.backend]
-        with pool_cls(max_workers=min(self.workers, len(chunks))) as pool:
+        with ThreadPoolExecutor(max_workers=min(self.workers, len(chunks))) as pool:
             futures = [pool.submit(_run_chunk, fn, start, chunk) for start, chunk in chunks]
             for future in as_completed(futures):
                 yield from future.result()
 
 
-def make_executor(
-    workers: int | None = 1, chunk_size: int = 1, backend: str = "thread"
-) -> Executor:
+def make_executor(workers: int | None = 1, chunk_size: int = 1) -> Executor:
     """``workers <= 1`` (or None) selects the serial strategy."""
     if workers is None or workers <= 1:
         return SerialExecutor()
-    return ParallelExecutor(workers=workers, chunk_size=chunk_size, backend=backend)
+    return ParallelExecutor(workers=workers, chunk_size=chunk_size)

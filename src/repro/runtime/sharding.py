@@ -11,7 +11,7 @@ process-based alternative:
   every process and every run.  A plan never drops or duplicates an
   address.
 * :class:`ShardingRuntime` — the fan-out coordinator.  Snowball rounds
-  become two shard fan-outs (frontier *discovery*, candidate
+  become two shard fan-outs (account-walk *discovery*, new-contract
   *classification*) over a persistent pool of worker processes.  Each
   worker holds its own copy of the simulated world and its own caches
   (the per-shard caches survive across rounds for the lifetime of one
@@ -248,8 +248,12 @@ _PARENT_WORLD = None  # set by the parent around a bind; visible to forked worke
 _WORKER_STATE: dict[str, Any] = {}
 
 
-def _worker_init(world_blob: bytes | None, cache_enabled: bool) -> None:
-    """Build the per-process analyzer once (per-shard caches live here)."""
+def _worker_init(world_blob: bytes | None, cache_enabled: bool, resilience: dict) -> None:
+    """Build the per-process analyzer once (per-shard caches live here).
+
+    ``resilience`` carries the parent engine's retry policy, breaker
+    settings and fault plan, so worker reads are faulted, retried and
+    broken exactly like the parent's."""
     from repro.core.pipeline import ContractAnalyzer
     from repro.obs import Observability
     from repro.runtime.engine import ExecutionEngine
@@ -260,10 +264,12 @@ def _worker_init(world_blob: bytes | None, cache_enabled: bool) -> None:
             "shard worker started without a world: the spawn start method "
             "needs a pickled world blob, fork needs _PARENT_WORLD set"
         )
-    engine = ExecutionEngine(cache_enabled=cache_enabled, obs=Observability.disabled())
+    engine = ExecutionEngine(
+        cache_enabled=cache_enabled, obs=Observability.disabled(), **resilience
+    )
     analyzer = ContractAnalyzer(world.rpc, world.explorer, world.oracle, engine=engine)
     _WORKER_STATE.clear()
-    _WORKER_STATE.update(world=world, analyzer=analyzer, counterparties={})
+    _WORKER_STATE.update(world=world, analyzer=analyzer)
 
 
 def _maybe_kill(task: dict) -> None:
@@ -277,11 +283,11 @@ def _maybe_kill(task: dict) -> None:
         os.kill(os.getpid(), signal.SIGKILL)
 
 
-def _execute_task(task: dict, analyzer, counterparties: dict) -> dict:
+def _execute_task(task: dict, analyzer) -> dict:
     """Run one shard task against an analyzer (worker or inline)."""
     started = time.perf_counter()
     if task["kind"] == "discover":
-        result = _discover_task(task, analyzer, counterparties)
+        result = _discover_task(task, analyzer)
         classified = txs = 0
     elif task["kind"] == "classify":
         result, classified, txs = _classify_task(task, analyzer)
@@ -300,27 +306,19 @@ def _execute_task(task: dict, analyzer, counterparties: dict) -> dict:
 def _run_shard_task(task: dict) -> dict:
     """Pool entry point: execute one task with the process-local state."""
     _maybe_kill(task)
-    return _execute_task(
-        task, _WORKER_STATE["analyzer"], _WORKER_STATE["counterparties"]
-    )
+    return _execute_task(task, _WORKER_STATE["analyzer"])
 
 
-def _discover_task(task: dict, analyzer, counterparties: dict) -> list:
-    """Evaluate one shard of frontier accounts; JSON-shaped result:
-    ``[[account, [[candidate, admissible], ...]], ...]``."""
-    from repro.core.snowball import evaluate_frontier_account
+def _discover_task(task: dict, analyzer) -> list:
+    """Walk one shard of accounts; JSON-shaped result:
+    ``[[account, [cursor, [candidate, ...]]], ...]``."""
+    from repro.core.snowball import walk_account
 
-    known_contracts = frozenset(task["known_contracts"])
-    known_accounts = frozenset(task["known_accounts"])
-    rejected = frozenset(task["rejected"])
-    out = []
-    for account in task["accounts"]:
-        candidates = evaluate_frontier_account(
-            analyzer, account, known_contracts, known_accounts, rejected,
-            counterparties,
-        )
-        out.append([account, [[c, bool(a)] for c, a in candidates]])
-    return out
+    skip = frozenset(task["skip"])
+    return [
+        [account, list(walk_account(analyzer, account, start, task["watermark_ts"], skip))]
+        for account, start in zip(task["accounts"], task["starts"])
+    ]
 
 
 def _classify_task(task: dict, analyzer) -> tuple:
@@ -395,8 +393,8 @@ class ShardingRuntime:
         self._obs = None
         self._pool: ProcessPoolExecutor | None = None
         self._cache_enabled = True
+        self._resilience: dict = {}
         self._classify_seq = 0
-        self._inline_counterparties: dict[str, set] = {}
         #: Test seam: called as ``hook(task)`` after each shard completes.
         self._after_shard: Callable[[dict], None] | None = None
 
@@ -415,6 +413,12 @@ class ShardingRuntime:
         self._world = world
         self._obs = engine.obs
         self._cache_enabled = engine.cache_enabled
+        self._resilience = {
+            "retry_policy": engine.retry_policy,
+            "breaker_threshold": engine.breaker_threshold,
+            "breaker_reset_s": engine.breaker_reset_s,
+            "fault_plan": engine.fault_plan,
+        }
         _PARENT_WORLD = world
         manager = checkpoint if checkpoint is not None else engine.checkpoint
         if manager is not None:
@@ -442,7 +446,6 @@ class ShardingRuntime:
         if _PARENT_WORLD is self._world:
             _PARENT_WORLD = None
         self._world = None
-        self._inline_counterparties = {}
         self._classify_seq = 0
 
     def clear_checkpoints(self) -> None:
@@ -454,18 +457,22 @@ class ShardingRuntime:
             self._pool.shutdown(wait=False, cancel_futures=True)
             self._pool = None
 
+    def _worker_initargs(self) -> tuple:
+        """What each pool worker's :func:`_worker_init` is called with."""
+        blob = None
+        if self.start_method != "fork":
+            # Spawned/forkserver workers re-import the module fresh and
+            # cannot see _PARENT_WORLD; ship the world by value instead.
+            blob = pickle.dumps(self._world)
+        return (blob, self._cache_enabled, self._resilience)
+
     def _ensure_pool(self) -> ProcessPoolExecutor:
         if self._pool is None:
-            blob = None
-            if self.start_method != "fork":
-                # Spawned/forkserver workers re-import the module fresh and
-                # cannot see _PARENT_WORLD; ship the world by value instead.
-                blob = pickle.dumps(self._world)
             self._pool = ProcessPoolExecutor(
                 max_workers=self.processes,
                 mp_context=get_context(self.start_method),
                 initializer=_worker_init,
-                initargs=(blob, self._cache_enabled),
+                initargs=self._worker_initargs(),
             )
         return self._pool
 
@@ -505,7 +512,7 @@ class ShardingRuntime:
 
     def _run_inline(self, task: dict) -> dict:
         analyzer = task.pop("_analyzer")
-        payload = _execute_task(task, analyzer, self._inline_counterparties)
+        payload = _execute_task(task, analyzer)
         # Inline execution went through the parent engine, which already
         # bumped the classification counters — don't report them twice.
         payload["classified"] = payload["txs"] = 0
@@ -588,39 +595,33 @@ class ShardingRuntime:
     def discover(
         self,
         analyzer,
-        frontier: list[str],
-        known_contracts: set[str],
-        known_accounts: set[str],
-        rejected: set[str],
+        accounts: list[str],
+        starts: list[int],
+        watermark_ts: int,
+        skip,
         round_no: int,
-    ) -> list[list]:
-        """One snowball discovery round as a shard fan-out; returns the
-        per-account candidate lists **in frontier order**, byte-identical
-        to the serial walk."""
-        plan = self.planner.plan(frontier)
-        known_contracts_l = sorted(known_contracts)
-        known_accounts_l = sorted(known_accounts)
-        rejected_l = sorted(rejected)
+    ) -> list[tuple[int, list[str]]]:
+        """One snowball round's account walks as a shard fan-out; returns
+        :func:`~repro.core.snowball.walk_account`'s ``(cursor,
+        candidates)`` per account **in input order**, byte-identical to
+        the serial walk."""
+        start_of = dict(zip(accounts, starts))
+        skip_l = sorted(skip)
         tasks = [
             {
                 "kind": "discover", "shard": shard, "round": round_no,
-                "accounts": accounts,
-                "known_contracts": known_contracts_l,
-                "known_accounts": known_accounts_l,
-                "rejected": rejected_l,
+                "accounts": members,
+                "starts": [start_of[a] for a in members],
+                "watermark_ts": watermark_ts,
+                "skip": skip_l,
                 "_analyzer": analyzer,
             }
-            for shard, accounts in enumerate(plan)
-            if accounts
+            for shard, members in enumerate(self.planner.plan(accounts))
+            if members
         ]
         payloads = self._run_tasks(tasks)
-        merged = self.merger.merge(
-            frontier, [p["result"] for p in payloads]
-        )
-        return [
-            [(candidate, bool(admissible)) for candidate, admissible in entry]
-            for entry in merged
-        ]
+        merged = self.merger.merge(accounts, [p["result"] for p in payloads])
+        return [(cursor, candidates) for cursor, candidates in merged]
 
     def classify(self, analyzer, contracts: list[str]) -> list:
         """Classify a batch of contracts as a shard fan-out; returns

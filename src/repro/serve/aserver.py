@@ -381,8 +381,9 @@ class AsyncIntelServer:
             writer.close()
             try:
                 await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError, OSError):
-                pass
+            except (ConnectionResetError, BrokenPipeError, OSError,
+                    asyncio.CancelledError):
+                pass  # stop() may cancel this task while the socket drains
 
     async def _reject(
         self,

@@ -56,7 +56,7 @@ class AddressIntel:
     first_seen_ts: int | None = None
     last_seen_ts: int | None = None
     stage: str = ""                 # provenance: "seed" | "expansion"
-    source: str = ""                # label feed or "snowball:<n>"
+    source: str = ""                # label feed or "snowball"
     victim_count: int | None = None
     #: Profit-sharing counterparties: a contract lists the operators and
     #: affiliates it splits to; accounts list the contracts they used.

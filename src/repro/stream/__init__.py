@@ -10,8 +10,9 @@ rebuild at ``W``, whatever the delta batching or arrival order
 
 - :mod:`repro.stream.source` — cursor-based tailing of chain blocks
   and CT entries, with per-delta watermarks and touched sets.
-- :mod:`repro.stream.snowball` — the incremental snowball: a monotone
-  closure admission rule evaluated by cursor-based semi-naive search.
+- :mod:`repro.stream.snowball` — the stream's name for
+  :mod:`repro.core.snowball`'s expander, the one snowball rule both
+  planes run; each delta is one ``advance``.
 - :mod:`repro.stream.clusters` — merge-only union-find family
   clustering with order-free canonical roots, plus the shared
   derivation to §7 family rows.

@@ -1,4 +1,4 @@
-"""ContractAnalyzer / RPCClassifier internals: memoization, thresholds."""
+"""ContractAnalyzer / RPCClassifier internals: memoization, transaction counts."""
 
 from __future__ import annotations
 
@@ -56,17 +56,6 @@ class TestMemoization:
 
 
 class TestThreshold:
-    def test_min_ps_txs_filters_sparse_contracts(self, env):
-        chain, drainer, rpc, _ = env
-        claim(chain, drainer)  # exactly one PS tx
-        strict = ContractAnalyzer(
-            rpc, Explorer(chain), PriceOracle(), min_ps_txs=2
-        )
-        assert not strict.analyze(drainer.address).is_profit_sharing
-
-        lenient = ContractAnalyzer(rpc, Explorer(chain), PriceOracle(), min_ps_txs=1)
-        assert lenient.analyze(drainer.address).is_profit_sharing
-
     def test_analysis_counts_total_txs(self, env):
         chain, drainer, _, analyzer = env
         claim(chain, drainer)

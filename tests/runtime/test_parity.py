@@ -85,7 +85,6 @@ class TestDatasetParity:
 
 
 def _square(x: int) -> int:
-    # Module-level so the process backend can pickle it.
     return x * x
 
 
@@ -115,12 +114,6 @@ class TestExecutors:
     def test_parallel_empty_batch(self):
         assert ParallelExecutor(workers=2).map_merged(_square, []) == []
 
-    def test_process_backend(self):
-        result = ParallelExecutor(workers=2, backend="process").map_merged(
-            _square, range(8)
-        )
-        assert result == [x * x for x in range(8)]
-
     def test_worker_exception_propagates(self):
         def boom(x):
             raise RuntimeError("worker failed")
@@ -141,8 +134,6 @@ class TestExecutors:
             ParallelExecutor(workers=0)
         with pytest.raises(ValueError):
             ParallelExecutor(chunk_size=0)
-        with pytest.raises(ValueError):
-            ParallelExecutor(backend="gpu")
 
 
 class TestCliSmoke:

@@ -22,7 +22,14 @@ from hypothesis import strategies as st
 
 from repro.api import build_dataset
 from repro.cli import main
-from repro.runtime import ExecutionEngine, ShardingRuntime
+from repro.runtime import (
+    ExecutionEngine,
+    FaultPlan,
+    FaultRule,
+    RetryPolicy,
+    ShardingRuntime,
+    sharding,
+)
 from repro.simulation import SimulationParams, build_world
 
 SCALE, SEED = 0.01, 7
@@ -134,6 +141,36 @@ class TestTierOneSmoke:
                 *flags, "--out", str(out),
             ]) == 0
             assert out.read_bytes() == serial_out.read_bytes()
+
+
+class TestWorkerEngine:
+    def test_worker_engine_carries_fault_plan_and_retries(
+        self, small_world, monkeypatch
+    ):
+        """Pool workers are initialised with the parent's resilience
+        settings, so their reads are faulted, retried and broken too."""
+        plan = FaultPlan(seed=3, rules=(FaultRule(upstream="explorer", rate=0.0),))
+        policy = RetryPolicy(attempts=4, seed=3)
+        engine = ExecutionEngine(
+            retry_policy=policy, breaker_threshold=7, breaker_reset_s=2.5,
+            fault_plan=plan, sharding=ShardingRuntime(shards=2, processes=2),
+        )
+        engine.sharding.bind(small_world, engine)
+        monkeypatch.setattr(sharding, "_WORKER_STATE", {})
+        try:
+            # Exactly what the pool runs in each worker process.
+            sharding._worker_init(*engine.sharding._worker_initargs())
+        finally:
+            engine.sharding.release()
+        analyzer = sharding._WORKER_STATE["analyzer"]
+        worker = analyzer.engine
+        assert worker.fault_plan == plan
+        assert worker.retry_policy == policy
+        assert (worker.breaker_threshold, worker.breaker_reset_s) == (7, 2.5)
+        assert set(worker.breakers) == {"rpc", "explorer"}
+        analyzer.transactions_of(next(iter(small_world.truth.all_operators)))
+        streams = worker.fault_injector.snapshot()["streams"]
+        assert streams["explorer.transactions_of"] == 1
 
 
 @pytest.mark.multiproc

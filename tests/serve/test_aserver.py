@@ -426,6 +426,41 @@ class TestHotReload:
             server.stop()
 
 
+class _CancelledOnCloseWriter:
+    """A stream writer whose close-drain is cancelled, as under ``stop()``."""
+
+    closed = False
+
+    def get_extra_info(self, name):
+        return ("127.0.0.1", 0)
+
+    def close(self):
+        self.closed = True
+
+    async def wait_closed(self):
+        raise asyncio.CancelledError()
+
+
+class TestConnectionTeardown:
+    def test_cancelled_wait_closed_ends_the_task_cleanly(self, intel_index):
+        server = AsyncIntelServer(
+            index=intel_index, obs=Observability(run_id="teardown")
+        )
+
+        async def serve_one():
+            reader = asyncio.StreamReader()
+            reader.feed_eof()
+            writer = _CancelledOnCloseWriter()
+            task = asyncio.ensure_future(server._serve_connection(reader, writer))
+            await asyncio.wait([task])
+            return task, writer
+
+        task, writer = asyncio.run(serve_one())
+        assert writer.closed
+        assert not task.cancelled()
+        assert task.exception() is None
+
+
 class TestPreforkedSockets:
     def test_binds_n_listeners_on_one_port(self):
         if not hasattr(socket, "SO_REUSEPORT"):

@@ -105,14 +105,6 @@ class TestGuards:
         with pytest.raises(ValueError, match="FingerprintDB"):
             StreamPipeline(world, analyzer, seeds, web=web_world)
 
-    def test_min_ps_txs_guard(self, world, stream_ctx):
-        _, seeds = stream_ctx
-        strict = ContractAnalyzer(
-            world.rpc, world.explorer, world.oracle, min_ps_txs=2
-        )
-        with pytest.raises(ValueError, match="min_ps_txs"):
-            StreamPipeline(world, strict, seeds)
-
     def test_watermark_cannot_move_backwards(self, make_pipeline):
         pipe = make_pipeline(web=False, delta_batch=8)
         pipe.tick()
